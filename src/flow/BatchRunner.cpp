@@ -44,9 +44,7 @@ FlowResult runJobContained(const BatchJob &job) {
   try {
     if (!job.spec)
       throw std::invalid_argument("batch job has no kernel spec");
-    return job.kind == FlowKind::Adaptor
-               ? runAdaptorFlow(*job.spec, job.config, job.options)
-               : runHlsCppFlow(*job.spec, job.config, job.options);
+    return runFlow(job.kind, *job.spec, job.config, job.options);
   } catch (const std::exception &e) {
     FlowResult failed;
     failed.kind = job.kind;

@@ -6,7 +6,6 @@
 #include "interp/Interp.h"
 #include "lir/Parser.h"
 #include "lir/Printer.h"
-#include "lir/transforms/Transforms.h"
 #include "lowering/Lowering.h"
 #include "mir/Parser.h"
 #include "mir/Pass.h"
@@ -20,31 +19,144 @@
 #include "support/ThreadPool.h"
 
 #include <cmath>
+#include <initializer_list>
 #include <optional>
 
 namespace mha::flow {
 
 namespace {
 
-/// Args attached to every flow-level telemetry span so a Chrome trace
-/// lane can be filtered by kernel or flow kind.
-telemetry::SpanArgs flowSpanArgs(const KernelSpec &spec, FlowKind kind) {
-  return {{"kernel", spec.name}, {"flow", flowKindName(kind)}};
+// --- Flow state and stage table -------------------------------------------
+
+/// Everything one flow run threads through its stages.
+struct FlowState {
+  FlowState(const FlowOptions &options, DiagnosticEngine &diags)
+      : options(options), diags(diags) {}
+
+  const FlowOptions &options;
+  DiagnosticEngine &diags;
+  const KernelSpec *spec = nullptr;      // kernel flows
+  const KernelConfig *config = nullptr;  // kernel flows
+  const std::string *lirInput = nullptr; // direct-LIR entry
+  FlowResult result;
+  mir::MContext mctx;
+  /// Stage-1 module; empty after an mlir hit until a bridge run reparses.
+  std::optional<mir::OwnedModule> mirModule;
+  std::string mirText; // stage-1 output text (cache on)
+  std::string lirText; // bridge output text; addresses synth
+  adaptor::AdaptorOptions adaptorOpts = options.adaptor;
+  vhls::SynthesisOptions synthOpts = options.synthesis;
+  /// Synthesized instead of result.module when set (synthesizeCached).
+  lir::Module *synthModule = nullptr;
+};
+
+/// One flow stage: it keys its input, computes its output, and moves that
+/// output in and out of its StageCache map. Everything around it — gate,
+/// span, timing window, cache round trip, failure tail — belongs to the
+/// executor (runStage/runStages).
+struct StageDef {
+  StageCache::Stage stage;
+  /// Optional input preparation, run before the key (false = failed).
+  bool (*prepare)(FlowState &);
+  /// Hashes the input; called only with the cache on.
+  uint64_t (*key)(FlowState &);
+  /// Computes the output into the state; false = failed (not stored).
+  bool (*run)(FlowState &);
+  /// Cache codec: installs a hit (false = failed) / encodes a fresh run.
+  bool (*restore)(FlowState &, StageCache::Entry &);
+  StageCache::Entry (*encode)(FlowState &);
+};
+
+/// Executor tables indexed by StageCache::Stage: the stage's name (the
+/// onStage argument and flow-stage span), its StageTimings window, and the
+/// FlowResult span covering the whole window (the bridge records its legs
+/// instead).
+const char *const kStageNames[] = {"mlirOpt", "bridge", "synth"};
+double StageTimings::*const kWindows[] = {
+    &StageTimings::mlirOptMs, &StageTimings::bridgeMs, &StageTimings::synthMs};
+const char *const kWholeSpans[] = {"prepare-mlir", nullptr, "vhls"};
+
+/// Runs `body` as a bridge sub-stage: a flow-substage telemetry span whose
+/// time is recorded in FlowResult::spans whether or not the body succeeds.
+template <typename Body>
+bool substage(FlowState &s, const char *name, Body body) {
+  telemetry::Span span(name, "flow-substage");
+  bool ok = body();
+  s.result.spans.push_back({"bridge", name, span.finish()});
+  return ok;
 }
 
-/// Builds the kernel and runs the shared MLIR-level preparation.
-std::optional<mir::OwnedModule> prepareMlir(const KernelSpec &spec,
-                                            const KernelConfig &config,
-                                            mir::MContext &mctx,
-                                            const FlowOptions &options,
-                                            DiagnosticEngine &diags) {
-  mir::OwnedModule module = spec.build(mctx, config);
-  if (!mir::verifyModule(module.get(), diags))
-    return std::nullopt;
+// --- Stage-cache keys -------------------------------------------------
+//
+// Option structs are hashed field by field (no reflection); when an
+// option that changes a stage's output gains a field, add it to the
+// matching key function or the cache will serve stale entries for runs
+// that differ only in the new field.
+
+/// Stage 1 input: kernel identity + directives + MLIR-level options. The
+/// kernel name stands in for the builder function — the registry is
+/// static, so the name determines the built IR.
+uint64_t mlirKey(FlowState &s) {
+  metrics::Timer timer(StageCache::keyHistogram());
+  const KernelConfig &config = *s.config;
+  HashBuilder hb;
+  hb.str("mlir").str(s.spec->name);
+  hb.i64(config.pipelineII)
+      .i64(config.unrollFactor)
+      .i64(config.partitionFactor)
+      .boolean(config.dataflow)
+      .boolean(config.applyDirectives);
+  hb.boolean(s.options.runMlirOpts).boolean(s.options.unrollAtMlirLevel);
+  return hb.get();
+}
+
+/// Stage 2 input: the bridge kind, the text it consumes, and the options
+/// that shape its output. The adaptor bridges hash the *effective*
+/// adaptor options (after the flow resolves the top-function hint) — the
+/// whole post-inline module shape depends on them — and the adaptor flow
+/// adds its lowering options. Emission and the HLS frontend take none.
+uint64_t bridgeKey(const char *kind, const std::string &text,
+                   const lowering::LoweringOptions *lo,
+                   const adaptor::AdaptorOptions *ao) {
+  metrics::Timer timer(StageCache::keyHistogram());
+  HashBuilder hb;
+  hb.str(kind).str(text);
+  if (lo)
+    hb.boolean(lo->useOpaquePointers)
+        .boolean(lo->fuseMulAdd)
+        .boolean(lo->useMemcpyIntrinsic)
+        .boolean(lo->emitModernAttributes);
+  if (ao)
+    hb.boolean(ao->runCallLegalization)
+        .i64(ao->inlineBudget)
+        .i64(ao->recursionDepth)
+        .str(ao->topFunction)
+        .boolean(ao->runDescriptorElimination)
+        .boolean(ao->runIntrinsicLegalize)
+        .boolean(ao->runGepCanonicalize)
+        .boolean(ao->runPointerTypeRecovery)
+        .boolean(ao->runMetadataConvert)
+        .boolean(ao->runAttributeScrub)
+        .boolean(ao->verifyCompat)
+        .boolean(ao->runCleanups)
+        .boolean(ao->fusePasses);
+  return hb.get();
+}
+
+// --- Stage 1 (both kernel flows): the shared MLIR preparation -----------
+//
+// Exactly the same work in both flows, so Table 4's mlirOptMs windows
+// compare like with like. A hit serves the printed module and skips
+// build+verify+canonicalize.
+
+bool mlirRun(FlowState &s) {
+  mir::OwnedModule module = s.spec->build(s.mctx, *s.config);
+  if (!mir::verifyModule(module.get(), s.diags))
+    return false;
   mir::MPassManager pm;
-  if (options.runMlirOpts)
+  if (s.options.runMlirOpts)
     pm.add(mir::createCanonicalizePass());
-  if (options.unrollAtMlirLevel) {
+  if (s.options.unrollAtMlirLevel) {
     // Cross-layer: consume hls.unroll here instead of in the backend.
     module.get().op->walk([&](mir::Operation *op) {
       if (!op->is(mir::ops::AffineFor))
@@ -56,169 +168,254 @@ std::optional<mir::OwnedModule> prepareMlir(const KernelSpec &spec,
       }
     });
     pm.add(mir::createAffineUnrollPass());
-    if (options.runMlirOpts)
+    if (s.options.runMlirOpts)
       pm.add(mir::createCanonicalizePass());
   }
-  if (!pm.run(module.get(), diags))
-    return std::nullopt;
-  return module;
+  if (!pm.run(module.get(), s.diags))
+    return false;
+  s.mirModule = std::move(module);
+  return true;
 }
 
-// --- Stage-cache keys -------------------------------------------------
+bool mlirRestore(FlowState &s, StageCache::Entry &entry) {
+  s.mirText = std::get<std::string>(std::move(entry));
+  return true;
+}
+
+StageCache::Entry mlirEncode(FlowState &s) {
+  s.mirText = mir::printModule(s.mirModule->get());
+  return s.mirText;
+}
+
+// --- Stage 2: the flow-specific bridge to HLS-ready lir -----------------
 //
-// Option structs are hashed field by field (no reflection); when an
-// option that changes a stage's output gains a field, add it to the
-// matching hash* helper or the cache will serve stale entries for runs
-// that differ only in the new field.
+// A hit replaces the whole leg with one lir parse (the module must live
+// for synthesis and co-simulation); one codec serves all three flows.
 
-/// The shared key-compute-time histogram (same series StageCache::synthKey
-/// records into, so `mha_stage_cache_key_us` covers all four key kinds).
-metrics::Histogram &stageKeyHistogram() {
-  static metrics::Histogram &hist = metrics::Registry::global().histogram(
-      "mha_stage_cache_key_us", "stage-cache key computation time");
-  return hist;
-}
-
-void hashConfig(HashBuilder &hb, const KernelConfig &config) {
-  hb.i64(config.pipelineII)
-      .i64(config.unrollFactor)
-      .i64(config.partitionFactor)
-      .boolean(config.dataflow)
-      .boolean(config.applyDirectives);
-}
-
-/// Stage 1 input: kernel identity + directives + MLIR-level options. The
-/// kernel name stands in for the builder function — the registry is
-/// static, so the name determines the built IR.
-uint64_t mlirStageKey(const KernelSpec &spec, const KernelConfig &config,
-                      const FlowOptions &options) {
-  metrics::Timer timer(stageKeyHistogram());
-  HashBuilder hb;
-  hb.str("mlir").str(spec.name);
-  hashConfig(hb, config);
-  hb.boolean(options.runMlirOpts).boolean(options.unrollAtMlirLevel);
-  return hb.get();
-}
-
-void hashAdaptorOptions(HashBuilder &hb, const adaptor::AdaptorOptions &ao) {
-  hb.boolean(ao.runCallLegalization)
-      .i64(ao.inlineBudget)
-      .i64(ao.recursionDepth)
-      .str(ao.topFunction)
-      .boolean(ao.runDescriptorElimination)
-      .boolean(ao.runIntrinsicLegalize)
-      .boolean(ao.runGepCanonicalize)
-      .boolean(ao.runPointerTypeRecovery)
-      .boolean(ao.runMetadataConvert)
-      .boolean(ao.runAttributeScrub)
-      .boolean(ao.verifyCompat)
-      .boolean(ao.runCleanups)
-      .boolean(ao.fusePasses);
-}
-
-/// Stage 2 input (adaptor flow): the mir text plus everything that shapes
-/// lowering and the adaptor pipeline. `ao` is the *effective* adaptor
-/// option set (after the flow resolves the top-function hint) — the whole
-/// post-inline module shape depends on it, so it addresses the cache.
-uint64_t adaptorBridgeKey(const std::string &mirText,
-                          const FlowOptions &options,
-                          const adaptor::AdaptorOptions &ao) {
-  metrics::Timer timer(stageKeyHistogram());
-  HashBuilder hb;
-  hb.str("bridge-adaptor").str(mirText);
-  const lowering::LoweringOptions &lo = options.lowering;
-  hb.boolean(lo.useOpaquePointers)
-      .boolean(lo.fuseMulAdd)
-      .boolean(lo.useMemcpyIntrinsic)
-      .boolean(lo.emitModernAttributes);
-  hashAdaptorOptions(hb, ao);
-  return hb.get();
-}
-
-/// Bridge key for the direct-LIR entry (no mir stage): the input module
-/// text plus the effective adaptor options.
-uint64_t lirBridgeKey(const std::string &lirText,
-                      const adaptor::AdaptorOptions &ao) {
-  metrics::Timer timer(stageKeyHistogram());
-  HashBuilder hb;
-  hb.str("bridge-lir").str(lirText);
-  hashAdaptorOptions(hb, ao);
-  return hb.get();
-}
-
-/// The adaptor passes need to know the synthesis top (the inliner must
-/// not erase it even when every call site is gone).
-adaptor::AdaptorOptions effectiveAdaptorOptions(const FlowOptions &options,
-                                                const std::string &topName) {
-  adaptor::AdaptorOptions ao = options.adaptor;
-  if (ao.topFunction.empty())
-    ao.topFunction = options.synthesis.topFunction.empty()
-                         ? topName
-                         : options.synthesis.topFunction;
-  return ao;
-}
-
-/// Stage 2 input (C++ flow): emission and the HLS frontend take no
-/// options, so the mir text alone addresses the output.
-uint64_t hlsCppBridgeKey(const std::string &mirText) {
-  metrics::Timer timer(stageKeyHistogram());
-  HashBuilder hb;
-  hb.str("bridge-hlscpp").str(mirText);
-  return hb.get();
-}
-
-/// Runs stage 1 through the cache: on a hit, returns the cached mir text
-/// without building the kernel; on a miss (or with the cache disabled),
-/// builds and prepares the module, printing it into `mirText` only when
-/// the cache is on. `module` is empty after a hit — bridge stages reparse
-/// lazily, and only when they miss too.
-bool runMlirStage(const KernelSpec &spec, const KernelConfig &config,
-                  mir::MContext &mctx, const FlowOptions &options,
-                  DiagnosticEngine &diags,
-                  std::optional<mir::OwnedModule> &module,
-                  std::string &mirText) {
-  if (options.useStageCache &&
-      StageCache::global().lookupMlir(mlirStageKey(spec, config, options),
-                                      mirText))
-    return true;
-  module = prepareMlir(spec, config, mctx, options, diags);
-  if (!module)
+bool bridgeRestore(FlowState &s, StageCache::Entry &entry) {
+  auto &cached = std::get<StageCache::BridgeEntry>(entry);
+  FlowResult &r = s.result;
+  if (!substage(s, "bridge-cache-restore", [&] {
+        // The direct-LIR input module must die before the LContext it was
+        // built in — replacing ctx first would free the context under the
+        // live module (its destructor walks context-owned constants).
+        r.module.reset();
+        r.ctx = std::make_unique<lir::LContext>();
+        r.module = lir::parseModule(cached.lirText, *r.ctx, s.diags);
+        return r.module != nullptr;
+      }))
     return false;
-  if (options.useStageCache) {
-    mirText = mir::printModule(module->get());
-    StageCache::global().storeMlir(mlirStageKey(spec, config, options),
-                                   mirText);
-  }
+  r.adaptorStats = std::move(cached.adaptorStats);
+  r.hlsCpp = std::move(cached.hlsCpp);
+  s.lirText = std::move(cached.lirText);
   return true;
 }
 
-/// Reparses a cached stage-1 result when a bridge stage needs the actual
+StageCache::Entry bridgeEncode(FlowState &s) {
+  s.lirText = lir::printModule(*s.result.module);
+  return StageCache::BridgeEntry{s.lirText, s.result.hlsCpp,
+                                 s.result.adaptorStats};
+}
+
+/// Reparses a cached stage-1 result when a bridge run needs the actual
 /// module. Round-trips through the mir parser (the printer's contract).
-bool ensureMirModule(std::optional<mir::OwnedModule> &module,
-                     const std::string &mirText, mir::MContext &mctx,
-                     DiagnosticEngine &diags, FlowResult &result) {
-  if (module)
-    return true;
-  telemetry::Span parseSpan("parse-cached-mlir", "flow-substage");
-  module = mir::parseModule(mirText, mctx, diags);
-  result.spans.push_back({"bridge", "parse-cached-mlir", parseSpan.finish()});
-  return module.has_value();
+bool ensureMirModule(FlowState &s) {
+  return s.mirModule || substage(s, "parse-cached-mlir", [&] {
+           s.mirModule = mir::parseModule(s.mirText, s.mctx, s.diags);
+           return s.mirModule.has_value();
+         });
 }
 
-/// Stage-boundary gate: notifies the progress observer and polls the
-/// cancellation flag. Returns false (after marking the result cancelled)
-/// when the caller must abandon the run instead of entering `stage`.
-bool enterStage(const char *stage, const FlowOptions &options,
-                FlowResult &result) {
-  if (options.cancelFlag &&
-      options.cancelFlag->load(std::memory_order_relaxed)) {
-    result.cancelled = true;
-    result.diagnostics = strfmt("flow cancelled before %s stage", stage);
+/// The adaptor pipeline on result.module, with a dedicated pass pool per
+/// call when passJobs > 1: the batch runner's pool must never run pass
+/// tasks (TaskGroup::wait does not steal — see setConcurrency).
+bool runAdaptorPipeline(FlowState &s) {
+  return substage(s, "adaptor-pipeline", [&] {
+    lir::PassManager pm(/*verifyEach=*/true);
+    adaptor::buildAdaptorPipeline(pm, s.adaptorOpts);
+    std::unique_ptr<ThreadPool> passPool;
+    if (s.options.passJobs > 1) {
+      passPool = std::make_unique<ThreadPool>(
+          static_cast<unsigned>(s.options.passJobs));
+      pm.setConcurrency(passPool.get());
+    }
+    bool ok = pm.run(*s.result.module, s.diags);
+    s.result.adaptorStats = pm.totalStats();
+    return ok;
+  });
+}
+
+/// The adaptor flow's lowering leg. The structured->scf conversion is
+/// flow-specific work (the C++ flow's emitter consumes structured IR
+/// directly), so it is charged to bridgeMs, mirroring how the C++ flow
+/// charges its emission leg.
+bool adaptorBridgeRun(FlowState &s) {
+  FlowResult &r = s.result;
+  return ensureMirModule(s) && substage(s, "affine-to-scf", [&] {
+           mir::MPassManager convert;
+           convert.add(mir::createAffineToScfPass());
+           convert.add(mir::createCanonicalizePass());
+           return convert.run(s.mirModule->get(), s.diags);
+         }) && substage(s, "lower-to-lir", [&] {
+           r.ctx = std::make_unique<lir::LContext>();
+           r.module = lowering::lowerToLIR(s.mirModule->get(), *r.ctx,
+                                           s.options.lowering, s.diags);
+           return r.module != nullptr;
+         }) && runAdaptorPipeline(s);
+}
+
+/// The C++ flow's leg: emit C++, re-parse it with the HLS frontend.
+bool hlsCppBridgeRun(FlowState &s) {
+  FlowResult &r = s.result;
+  return ensureMirModule(s) && substage(s, "emit-hls-cpp", [&] {
+           r.hlsCpp = hlscpp::emitHlsCpp(s.mirModule->get(), s.diags);
+           return !r.hlsCpp.empty();
+         }) && substage(s, "hls-frontend", [&] {
+           r.ctx = std::make_unique<lir::LContext>();
+           r.module = hlscpp::parseHlsCpp(r.hlsCpp, *r.ctx, s.diags);
+           return r.module != nullptr;
+         });
+}
+
+/// Direct-LIR input: parse the module (a hit still needs it to resolve
+/// the top) and resolve the synthesis top before hashing anything — it
+/// feeds the inliner's preserved-function option, so it is part of the
+/// bridge key. An empty top picks the module's only definition.
+bool lirBridgePrepare(FlowState &s) {
+  FlowResult &r = s.result;
+  if (!substage(s, "parse-lir", [&] {
+        r.ctx = std::make_unique<lir::LContext>();
+        r.module = lir::parseModule(*s.lirInput, *r.ctx, s.diags);
+        return r.module != nullptr;
+      }))
+    return false;
+  std::string top = r.kernelName;
+  if (top.empty()) {
+    size_t defs = 0;
+    for (lir::Function *fn : r.module->functions())
+      if (!fn->isDeclaration() && ++defs == 1)
+        top = fn->name();
+    if (defs != 1) {
+      s.diags.error(strfmt("lir module defines %zu functions; a top function "
+                           "must be named",
+                           defs));
+      return false;
+    }
+  } else if (!r.module->getFunction(top)) {
+    s.diags.error(
+        strfmt("top function '%s' not found in lir module", top.c_str()));
     return false;
   }
-  if (options.onStage)
-    options.onStage(stage);
+  r.kernelName = s.synthOpts.topFunction = top;
+  if (s.adaptorOpts.topFunction.empty())
+    s.adaptorOpts.topFunction = top;
   return true;
+}
+
+// --- Stage 3: virtual HLS ----------------------------------------------
+//
+// On a hit the module is left in its bridge state (backend unrolling
+// mutates in place but preserves semantics, so co-simulation is
+// unaffected); only accepted reports are stored.
+
+bool synthRun(FlowState &s) {
+  lir::Module &module = s.synthModule ? *s.synthModule : *s.result.module;
+  s.result.synth = vhls::synthesize(module, s.synthOpts, s.diags);
+  return s.result.synth.accepted;
+}
+
+bool synthRestore(FlowState &s, StageCache::Entry &entry) {
+  s.result.synth = std::get<vhls::SynthesisReport>(std::move(entry));
+  s.result.synthFromCache = true;
+  return true;
+}
+
+using Stage = StageCache::Stage;
+const StageDef kMlirStage{Stage::Mlir, nullptr, mlirKey, mlirRun,
+                          mlirRestore, mlirEncode};
+const StageDef kAdaptorBridge{
+    Stage::Bridge, nullptr,
+    [](FlowState &s) {
+      return bridgeKey("bridge-adaptor", s.mirText, &s.options.lowering,
+                       &s.adaptorOpts);
+    },
+    adaptorBridgeRun, bridgeRestore, bridgeEncode};
+const StageDef kHlsCppBridge{
+    Stage::Bridge, nullptr,
+    [](FlowState &s) {
+      return bridgeKey("bridge-hlscpp", s.mirText, nullptr, nullptr);
+    },
+    hlsCppBridgeRun, bridgeRestore, bridgeEncode};
+const StageDef kLirBridge{
+    Stage::Bridge, lirBridgePrepare,
+    [](FlowState &s) {
+      return bridgeKey("bridge-lir", *s.lirInput, nullptr, &s.adaptorOpts);
+    },
+    runAdaptorPipeline, bridgeRestore, bridgeEncode};
+const StageDef kSynthStage{
+    Stage::Synth, nullptr,
+    [](FlowState &s) { return StageCache::synthKey(s.lirText, s.synthOpts); },
+    synthRun, synthRestore,
+    [](FlowState &s) { return StageCache::Entry(s.result.synth); }};
+
+// --- Executor -------------------------------------------------------------
+
+/// The cache round trip of one stage: prepare and key the input, then
+/// restore a hit or run the stage and store its output. With the cache
+/// off nothing is hashed or printed.
+bool runStage(FlowState &s, const StageDef &stage) {
+  if (stage.prepare && !stage.prepare(s))
+    return false;
+  const bool cached = s.options.useStageCache;
+  const uint64_t key = cached ? stage.key(s) : 0;
+  if (cached) {
+    StageCache::Entry entry;
+    if (StageCache::global().lookup(stage.stage, key, entry))
+      return stage.restore(s, entry);
+  }
+  if (!stage.run(s))
+    return false;
+  if (cached)
+    StageCache::global().store(key, stage.encode(s));
+  return true;
+}
+
+/// Runs `stages` in order under one flow span. Before each stage it polls
+/// the cancellation flag and notifies onStage; it times each stage into
+/// its StageTimings window and stops at the first failure. Every exit —
+/// success, failure or cancellation — finishes timings.totalMs.
+FlowResult runStages(FlowState &s, std::string spanName,
+                     telemetry::SpanArgs spanArgs,
+                     std::initializer_list<const StageDef *> stages) {
+  FlowResult &r = s.result;
+  telemetry::Span totalSpan(std::move(spanName), "flow", std::move(spanArgs));
+  bool ok = true;
+  for (const StageDef *stage : stages) {
+    size_t index = static_cast<size_t>(stage->stage);
+    const char *name = kStageNames[index];
+    if (s.options.cancelFlag &&
+        s.options.cancelFlag->load(std::memory_order_relaxed)) {
+      r.cancelled = true;
+      r.diagnostics = strfmt("flow cancelled before %s stage", name);
+      ok = false;
+      break;
+    }
+    if (s.options.onStage)
+      s.options.onStage(name);
+    telemetry::Span window(name, "flow-stage");
+    ok = runStage(s, *stage);
+    double ms = window.finish();
+    r.timings.*kWindows[index] = ms;
+    if (kWholeSpans[index])
+      r.spans.push_back({name, kWholeSpans[index], ms});
+    if (!ok)
+      break;
+  }
+  r.timings.totalMs = totalSpan.finish();
+  if (!r.cancelled)
+    r.diagnostics = s.diags.str();
+  r.ok = ok;
+  return std::move(r);
 }
 
 } // namespace
@@ -227,394 +424,64 @@ const char *flowKindName(FlowKind kind) {
   return kind == FlowKind::Adaptor ? "adaptor" : "hls-c++";
 }
 
+FlowResult runFlow(FlowKind kind, const KernelSpec &spec,
+                   const KernelConfig &config, const FlowOptions &options) {
+  DiagnosticEngine diags;
+  FlowState s(options, diags);
+  s.spec = &spec;
+  s.config = &config;
+  s.result.kind = kind;
+  s.result.kernelName = spec.name;
+  // The adaptor passes need to know the synthesis top (the inliner must
+  // not erase it even when every call site is gone).
+  if (s.synthOpts.topFunction.empty())
+    s.synthOpts.topFunction = spec.name;
+  if (s.adaptorOpts.topFunction.empty())
+    s.adaptorOpts.topFunction = s.synthOpts.topFunction;
+  // Args let a Chrome trace lane be filtered by kernel or flow kind.
+  return runStages(
+      s, strfmt("flow:%s:%s", flowKindName(kind), spec.name.c_str()),
+      {{"kernel", spec.name}, {"flow", flowKindName(kind)}},
+      {&kMlirStage,
+       kind == FlowKind::Adaptor ? &kAdaptorBridge : &kHlsCppBridge,
+       &kSynthStage});
+}
+
 FlowResult runAdaptorFlow(const KernelSpec &spec, const KernelConfig &config,
                           const FlowOptions &options) {
-  FlowResult result;
-  result.kind = FlowKind::Adaptor;
-  result.kernelName = spec.name;
-  DiagnosticEngine diags;
-  telemetry::Span totalSpan(strfmt("flow:adaptor:%s", spec.name.c_str()),
-                            "flow", flowSpanArgs(spec, FlowKind::Adaptor));
-  if (!enterStage("mlirOpt", options, result))
-    return result;
+  return runFlow(FlowKind::Adaptor, spec, config, options);
+}
 
-  // MLIR level: exactly the shared preparation both flows run, so Table 4's
-  // mlirOptMs windows compare like with like. With the stage cache on, a
-  // hit serves the printed module and skips build+verify+canonicalize.
-  telemetry::Span mlirSpan("mlirOpt", "flow-stage");
-  mir::MContext mctx;
-  std::optional<mir::OwnedModule> module;
-  std::string mirText;
-  bool mlirOk = runMlirStage(spec, config, mctx, options, diags, module,
-                             mirText);
-  result.timings.mlirOptMs = mlirSpan.finish();
-  result.spans.push_back({"mlirOpt", "prepare-mlir", result.timings.mlirOptMs});
-  if (!mlirOk) {
-    result.diagnostics = diags.str();
-    return result;
-  }
-
-  // Bridge: this flow's lowering leg. The structured->scf conversion is
-  // flow-specific work (the C++ flow's emitter consumes structured IR
-  // directly), so it is charged to bridgeMs, mirroring how the C++ flow
-  // charges its emission leg. A cache hit replaces the whole leg with one
-  // lir parse (the module must live for synthesis and co-simulation).
-  if (!enterStage("bridge", options, result))
-    return result;
-  telemetry::Span bridgeSpan("bridge", "flow-stage");
-  adaptor::AdaptorOptions adaptorOpts =
-      effectiveAdaptorOptions(options, spec.name);
-  std::string lirText; // bridge output text; addresses the synth stage
-  bool bridgeFromCache = false;
-  uint64_t bridgeKey = 0;
-  if (options.useStageCache) {
-    bridgeKey = adaptorBridgeKey(mirText, options, adaptorOpts);
-    StageCache::BridgeEntry entry;
-    if (StageCache::global().lookupBridge(bridgeKey, entry)) {
-      telemetry::Span restoreSpan("bridge-cache-restore", "flow-substage");
-      result.ctx = std::make_unique<lir::LContext>();
-      result.module = lir::parseModule(entry.lirText, *result.ctx, diags);
-      result.spans.push_back(
-          {"bridge", "bridge-cache-restore", restoreSpan.finish()});
-      if (!result.module) {
-        result.timings.bridgeMs = bridgeSpan.finish();
-        result.diagnostics = diags.str();
-        return result;
-      }
-      result.adaptorStats = entry.adaptorStats;
-      lirText = std::move(entry.lirText);
-      bridgeFromCache = true;
-    }
-  }
-  if (!bridgeFromCache) {
-    if (!ensureMirModule(module, mirText, mctx, diags, result)) {
-      result.timings.bridgeMs = bridgeSpan.finish();
-      result.diagnostics = diags.str();
-      return result;
-    }
-    {
-      telemetry::Span convertSpan("affine-to-scf", "flow-substage");
-      mir::MPassManager convert;
-      convert.add(mir::createAffineToScfPass());
-      convert.add(mir::createCanonicalizePass());
-      bool convertOk = convert.run(module->get(), diags);
-      result.spans.push_back({"bridge", "affine-to-scf", convertSpan.finish()});
-      if (!convertOk) {
-        result.timings.bridgeMs = bridgeSpan.finish();
-        result.diagnostics = diags.str();
-        return result;
-      }
-    }
-    {
-      telemetry::Span lowerSpan("lower-to-lir", "flow-substage");
-      result.ctx = std::make_unique<lir::LContext>();
-      result.module =
-          lowering::lowerToLIR(module->get(), *result.ctx, options.lowering,
-                               diags);
-      result.spans.push_back({"bridge", "lower-to-lir", lowerSpan.finish()});
-      if (!result.module) {
-        result.timings.bridgeMs = bridgeSpan.finish();
-        result.diagnostics = diags.str();
-        return result;
-      }
-    }
-    telemetry::Span adaptorSpan("adaptor-pipeline", "flow-substage");
-    lir::PassManager pm(/*verifyEach=*/true);
-    adaptor::buildAdaptorPipeline(pm, adaptorOpts);
-    // A dedicated pool per call: the batch runner's pool must never run
-    // pass tasks (TaskGroup::wait does not steal — see setConcurrency).
-    std::unique_ptr<ThreadPool> passPool;
-    if (options.passJobs > 1) {
-      passPool =
-          std::make_unique<ThreadPool>(static_cast<unsigned>(options.passJobs));
-      pm.setConcurrency(passPool.get());
-    }
-    bool adaptorOk = pm.run(*result.module, diags);
-    result.adaptorStats = pm.totalStats();
-    result.spans.push_back(
-        {"bridge", "adaptor-pipeline", adaptorSpan.finish()});
-    if (!adaptorOk) {
-      result.timings.bridgeMs = bridgeSpan.finish();
-      result.diagnostics = diags.str();
-      return result;
-    }
-    if (options.useStageCache) {
-      lirText = lir::printModule(*result.module);
-      StageCache::global().storeBridge(
-          bridgeKey, {lirText, std::string(), result.adaptorStats});
-    }
-  }
-  result.timings.bridgeMs = bridgeSpan.finish();
-
-  // Virtual HLS. On a synth cache hit the module is left in its bridge
-  // state (backend unrolling mutates in place but preserves semantics, so
-  // co-simulation is unaffected); only accepted reports are cached.
-  if (!enterStage("synth", options, result))
-    return result;
-  telemetry::Span synthSpan("synth", "flow-stage");
-  vhls::SynthesisOptions synthOpts = options.synthesis;
-  if (synthOpts.topFunction.empty())
-    synthOpts.topFunction = spec.name;
-  bool synthFromCache = false;
-  uint64_t synthKey = 0;
-  if (options.useStageCache) {
-    synthKey = StageCache::synthKey(lirText, synthOpts);
-    synthFromCache = StageCache::global().lookupSynth(synthKey, result.synth);
-  }
-  if (!synthFromCache) {
-    result.synth = vhls::synthesize(*result.module, synthOpts, diags);
-    if (options.useStageCache && result.synth.accepted)
-      StageCache::global().storeSynth(synthKey, result.synth);
-  }
-  result.synthFromCache = synthFromCache;
-  result.timings.synthMs = synthSpan.finish();
-  result.spans.push_back({"synth", "vhls", result.timings.synthMs});
-  result.timings.totalMs = totalSpan.finish();
-  result.diagnostics = diags.str();
-  result.ok = result.synth.accepted;
-  return result;
+FlowResult runHlsCppFlow(const KernelSpec &spec, const KernelConfig &config,
+                         const FlowOptions &options) {
+  return runFlow(FlowKind::HlsCpp, spec, config, options);
 }
 
 FlowResult runLirAdaptorFlow(const std::string &lirText,
                              const std::string &topFunction,
                              const FlowOptions &options) {
-  FlowResult result;
-  result.kind = FlowKind::Adaptor;
-  result.kernelName = topFunction;
   DiagnosticEngine diags;
-  telemetry::Span totalSpan("flow:adaptor:lir-input", "flow");
-
-  if (!enterStage("bridge", options, result))
-    return result;
-  telemetry::Span bridgeSpan("bridge", "flow-stage");
-  {
-    telemetry::Span parseSpan("parse-lir", "flow-substage");
-    result.ctx = std::make_unique<lir::LContext>();
-    result.module = lir::parseModule(lirText, *result.ctx, diags);
-    result.spans.push_back({"bridge", "parse-lir", parseSpan.finish()});
-  }
-  if (!result.module) {
-    result.timings.bridgeMs = bridgeSpan.finish();
-    result.diagnostics = diags.str();
-    return result;
-  }
-
-  // Resolve the synthesis top before hashing anything: it feeds the
-  // inliner's preserved-function option, so it is part of the bridge key.
-  std::string top = topFunction;
-  if (top.empty()) {
-    std::vector<lir::Function *> defs;
-    for (lir::Function *fn : result.module->functions())
-      if (!fn->isDeclaration())
-        defs.push_back(fn);
-    if (defs.size() != 1) {
-      diags.error(strfmt("lir module defines %zu functions; a top function "
-                         "must be named",
-                         defs.size()));
-      result.timings.bridgeMs = bridgeSpan.finish();
-      result.diagnostics = diags.str();
-      return result;
-    }
-    top = defs.front()->name();
-  } else if (!result.module->getFunction(top)) {
-    diags.error(strfmt("top function '%s' not found in lir module",
-                       top.c_str()));
-    result.timings.bridgeMs = bridgeSpan.finish();
-    result.diagnostics = diags.str();
-    return result;
-  }
-  result.kernelName = top;
-  adaptor::AdaptorOptions adaptorOpts = options.adaptor;
-  if (adaptorOpts.topFunction.empty())
-    adaptorOpts.topFunction = top;
-
-  std::string lirOut; // post-adaptor text; addresses the synth stage
-  bool bridgeFromCache = false;
-  uint64_t bridgeKey = 0;
-  if (options.useStageCache) {
-    bridgeKey = lirBridgeKey(lirText, adaptorOpts);
-    StageCache::BridgeEntry entry;
-    if (StageCache::global().lookupBridge(bridgeKey, entry)) {
-      telemetry::Span restoreSpan("bridge-cache-restore", "flow-substage");
-      // The input-parse module must die before the LContext it was built
-      // in — replacing ctx first would free the context under the live
-      // module (its destructor walks context-owned constants).
-      result.module.reset();
-      result.ctx = std::make_unique<lir::LContext>();
-      result.module = lir::parseModule(entry.lirText, *result.ctx, diags);
-      result.spans.push_back(
-          {"bridge", "bridge-cache-restore", restoreSpan.finish()});
-      if (!result.module) {
-        result.timings.bridgeMs = bridgeSpan.finish();
-        result.diagnostics = diags.str();
-        return result;
-      }
-      result.adaptorStats = entry.adaptorStats;
-      lirOut = std::move(entry.lirText);
-      bridgeFromCache = true;
-    }
-  }
-  if (!bridgeFromCache) {
-    telemetry::Span adaptorSpan("adaptor-pipeline", "flow-substage");
-    lir::PassManager pm(/*verifyEach=*/true);
-    adaptor::buildAdaptorPipeline(pm, adaptorOpts);
-    std::unique_ptr<ThreadPool> passPool;
-    if (options.passJobs > 1) {
-      passPool =
-          std::make_unique<ThreadPool>(static_cast<unsigned>(options.passJobs));
-      pm.setConcurrency(passPool.get());
-    }
-    bool adaptorOk = pm.run(*result.module, diags);
-    result.adaptorStats = pm.totalStats();
-    result.spans.push_back(
-        {"bridge", "adaptor-pipeline", adaptorSpan.finish()});
-    if (!adaptorOk) {
-      result.timings.bridgeMs = bridgeSpan.finish();
-      result.diagnostics = diags.str();
-      return result;
-    }
-    if (options.useStageCache) {
-      lirOut = lir::printModule(*result.module);
-      StageCache::global().storeBridge(
-          bridgeKey, {lirOut, std::string(), result.adaptorStats});
-    }
-  }
-  result.timings.bridgeMs = bridgeSpan.finish();
-
-  if (!enterStage("synth", options, result))
-    return result;
-  telemetry::Span synthSpan("synth", "flow-stage");
-  vhls::SynthesisOptions synthOpts = options.synthesis;
-  synthOpts.topFunction = top;
-  bool synthFromCache = false;
-  uint64_t synthKey = 0;
-  if (options.useStageCache) {
-    synthKey = StageCache::synthKey(lirOut, synthOpts);
-    synthFromCache = StageCache::global().lookupSynth(synthKey, result.synth);
-  }
-  if (!synthFromCache) {
-    result.synth = vhls::synthesize(*result.module, synthOpts, diags);
-    if (options.useStageCache && result.synth.accepted)
-      StageCache::global().storeSynth(synthKey, result.synth);
-  }
-  result.synthFromCache = synthFromCache;
-  result.timings.synthMs = synthSpan.finish();
-  result.spans.push_back({"synth", "vhls", result.timings.synthMs});
-  result.timings.totalMs = totalSpan.finish();
-  result.diagnostics = diags.str();
-  result.ok = result.synth.accepted;
-  return result;
+  FlowState s(options, diags);
+  s.lirInput = &lirText;
+  s.result.kind = FlowKind::Adaptor;
+  s.result.kernelName = topFunction;
+  return runStages(s, "flow:adaptor:lir-input", {},
+                   {&kLirBridge, &kSynthStage});
 }
 
-FlowResult runHlsCppFlow(const KernelSpec &spec, const KernelConfig &config,
-                         const FlowOptions &options) {
-  FlowResult result;
-  result.kind = FlowKind::HlsCpp;
-  result.kernelName = spec.name;
-  DiagnosticEngine diags;
-  telemetry::Span totalSpan(strfmt("flow:hls-c++:%s", spec.name.c_str()),
-                            "flow", flowSpanArgs(spec, FlowKind::HlsCpp));
-  if (!enterStage("mlirOpt", options, result))
-    return result;
-
-  telemetry::Span mlirSpan("mlirOpt", "flow-stage");
-  mir::MContext mctx;
-  std::optional<mir::OwnedModule> module;
-  std::string mirText;
-  bool mlirOk = runMlirStage(spec, config, mctx, options, diags, module,
-                             mirText);
-  result.timings.mlirOptMs = mlirSpan.finish();
-  result.spans.push_back({"mlirOpt", "prepare-mlir", result.timings.mlirOptMs});
-  if (!mlirOk) {
-    result.diagnostics = diags.str();
-    return result;
-  }
-
-  // Bridge: emit C++, re-parse with the HLS frontend. A cache hit
-  // restores both the emitted source (part of the result contract) and
-  // the frontend's lir module.
-  if (!enterStage("bridge", options, result))
-    return result;
-  telemetry::Span bridgeSpan("bridge", "flow-stage");
-  std::string lirText;
-  bool bridgeFromCache = false;
-  uint64_t bridgeKey = 0;
-  if (options.useStageCache) {
-    bridgeKey = hlsCppBridgeKey(mirText);
-    StageCache::BridgeEntry entry;
-    if (StageCache::global().lookupBridge(bridgeKey, entry)) {
-      telemetry::Span restoreSpan("bridge-cache-restore", "flow-substage");
-      result.ctx = std::make_unique<lir::LContext>();
-      result.module = lir::parseModule(entry.lirText, *result.ctx, diags);
-      result.spans.push_back(
-          {"bridge", "bridge-cache-restore", restoreSpan.finish()});
-      if (!result.module) {
-        result.timings.bridgeMs = bridgeSpan.finish();
-        result.diagnostics = diags.str();
-        return result;
-      }
-      result.hlsCpp = std::move(entry.hlsCpp);
-      lirText = std::move(entry.lirText);
-      bridgeFromCache = true;
-    }
-  }
-  if (!bridgeFromCache) {
-    if (!ensureMirModule(module, mirText, mctx, diags, result)) {
-      result.timings.bridgeMs = bridgeSpan.finish();
-      result.diagnostics = diags.str();
-      return result;
-    }
-    {
-      telemetry::Span emitSpan("emit-hls-cpp", "flow-substage");
-      result.hlsCpp = hlscpp::emitHlsCpp(module->get(), diags);
-      result.spans.push_back({"bridge", "emit-hls-cpp", emitSpan.finish()});
-      if (result.hlsCpp.empty()) {
-        result.timings.bridgeMs = bridgeSpan.finish();
-        result.diagnostics = diags.str();
-        return result;
-      }
-    }
-    telemetry::Span frontendSpan("hls-frontend", "flow-substage");
-    result.ctx = std::make_unique<lir::LContext>();
-    result.module = hlscpp::parseHlsCpp(result.hlsCpp, *result.ctx, diags);
-    result.spans.push_back({"bridge", "hls-frontend", frontendSpan.finish()});
-    if (!result.module) {
-      result.timings.bridgeMs = bridgeSpan.finish();
-      result.diagnostics = diags.str();
-      return result;
-    }
-    if (options.useStageCache) {
-      lirText = lir::printModule(*result.module);
-      StageCache::global().storeBridge(bridgeKey,
-                                       {lirText, result.hlsCpp, {}});
-    }
-  }
-  result.timings.bridgeMs = bridgeSpan.finish();
-
-  if (!enterStage("synth", options, result))
-    return result;
-  telemetry::Span synthSpan("synth", "flow-stage");
-  vhls::SynthesisOptions synthOpts = options.synthesis;
-  if (synthOpts.topFunction.empty())
-    synthOpts.topFunction = spec.name;
-  bool synthFromCache = false;
-  uint64_t synthKey = 0;
-  if (options.useStageCache) {
-    synthKey = StageCache::synthKey(lirText, synthOpts);
-    synthFromCache = StageCache::global().lookupSynth(synthKey, result.synth);
-  }
-  if (!synthFromCache) {
-    result.synth = vhls::synthesize(*result.module, synthOpts, diags);
-    if (options.useStageCache && result.synth.accepted)
-      StageCache::global().storeSynth(synthKey, result.synth);
-  }
-  result.synthFromCache = synthFromCache;
-  result.timings.synthMs = synthSpan.finish();
-  result.spans.push_back({"synth", "vhls", result.timings.synthMs});
-  result.timings.totalMs = totalSpan.finish();
-  result.diagnostics = diags.str();
-  result.ok = result.synth.accepted;
-  return result;
+vhls::SynthesisReport synthesizeCached(lir::Module &module,
+                                       const vhls::SynthesisOptions &options,
+                                       bool useStageCache,
+                                       DiagnosticEngine &diags) {
+  FlowOptions flowOptions;
+  flowOptions.synthesis = options;
+  flowOptions.useStageCache = useStageCache;
+  FlowState s(flowOptions, diags);
+  s.synthModule = &module;
+  if (useStageCache)
+    s.lirText = lir::printModule(module);
+  runStage(s, kSynthStage);
+  return std::move(s.result.synth);
 }
 
 bool cosimAgainstReference(const FlowResult &result, const KernelSpec &spec,

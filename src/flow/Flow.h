@@ -4,8 +4,17 @@
 //     (modern conventions) -> HLS Adaptor -> HLS-readable IR -> virtual HLS
 //   HLS C++ flow (baseline):     MLIR -> [affine opts] -> HLS C++ text ->
 //     C frontend (+O2-lite) -> HLS IR -> virtual HLS
+//   Direct-LIR entry:            lir text -> HLS Adaptor -> virtual HLS
 //
-// Both paths end in the same backend; the experiments compare their
+// Each flow is a short list of stages — mlirOpt, bridge, synth — run by
+// one executor (Flow.cpp). A stage supplies three things: an input-key
+// function, a run function that fills the FlowResult, and a codec that
+// restores or encodes its StageCache entry. The executor alone owns the
+// cancellation/onStage gate, the "flow-stage" telemetry span and the
+// StageTimings window, the StageCache lookup/restore/store round trip and
+// the failure tail, so all flows share one implementation of each.
+//
+// All paths end in the same backend; the experiments compare their
 // post-synthesis latency/resources and their compile time, plus functional
 // equivalence through the interpreter.
 #pragma once
@@ -44,7 +53,7 @@ struct StageTimings {
 /// exports spans per job.
 struct StageSpan {
   std::string stage; // "mlirOpt" | "bridge" | "synth"
-  std::string name;  // e.g. "prepare-mlir", "affine-to-scf", "adaptor"
+  std::string name;  // e.g. "prepare-mlir", "affine-to-scf", "adaptor-pipeline"
   double ms = 0;
 };
 
@@ -109,11 +118,15 @@ struct FlowOptions {
   std::function<void(const char *stage)> onStage;
 };
 
-/// The paper's direct-IR path.
+/// Runs the `kind` flow on a registered kernel.
+FlowResult runFlow(FlowKind kind, const KernelSpec &spec,
+                   const KernelConfig &config, const FlowOptions &options = {});
+
+/// The paper's direct-IR path: runFlow(FlowKind::Adaptor, ...).
 FlowResult runAdaptorFlow(const KernelSpec &spec, const KernelConfig &config,
                           const FlowOptions &options = {});
 
-/// The MLIR->HLS-C++ baseline path.
+/// The MLIR->HLS-C++ baseline path: runFlow(FlowKind::HlsCpp, ...).
 FlowResult runHlsCppFlow(const KernelSpec &spec, const KernelConfig &config,
                          const FlowOptions &options = {});
 
@@ -126,6 +139,15 @@ FlowResult runHlsCppFlow(const KernelSpec &spec, const KernelConfig &config,
 FlowResult runLirAdaptorFlow(const std::string &lirText,
                              const std::string &topFunction,
                              const FlowOptions &options = {});
+
+/// The flows' synth stage alone, StageCache round trip included: virtual
+/// HLS of `module`, served from the cache when `useStageCache` is set and
+/// an accepted report is stored under the module's printed text and
+/// `options`. Lets the fuzz oracle share the flows' synth entries.
+vhls::SynthesisReport synthesizeCached(lir::Module &module,
+                                       const vhls::SynthesisOptions &options,
+                                       bool useStageCache,
+                                       DiagnosticEngine &diags);
 
 /// Executes the flow's final IR against the host reference. Returns true
 /// when every output buffer matches bit-for-bit; `error` explains any

@@ -12,18 +12,33 @@ namespace mha::flow {
 
 namespace {
 
-telemetry::Statistic statMlirHit("flow.cache", "mlir.hit",
-                                 "MLIR-stage cache hits");
-telemetry::Statistic statMlirMiss("flow.cache", "mlir.miss",
-                                  "MLIR-stage cache misses");
-telemetry::Statistic statBridgeHit("flow.cache", "bridge.hit",
-                                   "bridge-stage cache hits");
-telemetry::Statistic statBridgeMiss("flow.cache", "bridge.miss",
-                                    "bridge-stage cache misses");
-telemetry::Statistic statSynthHit("flow.cache", "synth.hit",
-                                  "synthesis-stage cache hits");
-telemetry::Statistic statSynthMiss("flow.cache", "synth.miss",
-                                   "synthesis-stage cache misses");
+using Counters = StageCache::Counters;
+constexpr size_t kStages = std::variant_size_v<StageCache::Entry>;
+
+/// Per-stage constants: the metrics label, the "flow.cache" statistics,
+/// and the stage's named Counters fields.
+struct StageInfo {
+  const char *name;
+  telemetry::Statistic hit, miss;
+  int64_t Counters::*hits, Counters::*misses, Counters::*bytes,
+      Counters::*evictions;
+};
+StageInfo stageInfo[kStages] = {
+    {"mlir",
+     {"flow.cache", "mlir.hit", "MLIR-stage cache hits"},
+     {"flow.cache", "mlir.miss", "MLIR-stage cache misses"},
+     &Counters::mlirHits, &Counters::mlirMisses, &Counters::mlirBytes,
+     &Counters::mlirEvictions},
+    {"bridge",
+     {"flow.cache", "bridge.hit", "bridge-stage cache hits"},
+     {"flow.cache", "bridge.miss", "bridge-stage cache misses"},
+     &Counters::bridgeHits, &Counters::bridgeMisses, &Counters::bridgeBytes,
+     &Counters::bridgeEvictions},
+    {"synth",
+     {"flow.cache", "synth.hit", "synthesis-stage cache hits"},
+     {"flow.cache", "synth.miss", "synthesis-stage cache misses"},
+     &Counters::synthHits, &Counters::synthMisses, &Counters::synthBytes,
+     &Counters::synthEvictions}};
 telemetry::Statistic statEvicted("flow.cache", "evicted",
                                  "stage-cache entries evicted (LRU)");
 
@@ -32,52 +47,15 @@ telemetry::Statistic statEvicted("flow.cache", "evicted",
 /// many entries.
 constexpr size_t kMaxEntriesPerStage = 4096;
 
-/// Per-stage metrics-registry handles (hit/miss/eviction counters gated
-/// on metrics::enabled(); the resident-bytes gauge tracks the structural
-/// byte total unconditionally so it always matches counters()).
-struct StageMetrics {
-  metrics::Counter &hits;
-  metrics::Counter &misses;
-  metrics::Counter &evictions;
-  metrics::Gauge &bytes;
-
-  static StageMetrics make(const char *stage) {
-    metrics::Registry &reg = metrics::Registry::global();
-    metrics::Labels labels = {{"stage", stage}};
-    return StageMetrics{
-        reg.counter("mha_stage_cache_hits_total", "stage-cache lookup hits",
-                    labels),
-        reg.counter("mha_stage_cache_misses_total",
-                    "stage-cache lookup misses", labels),
-        reg.counter("mha_stage_cache_evictions_total",
-                    "stage-cache entries evicted (LRU)", labels),
-        reg.gauge("mha_stage_cache_bytes",
-                  "payload bytes resident in the stage map", labels)};
-  }
-
-  static StageMetrics &mlir() {
-    static StageMetrics m = make("mlir");
-    return m;
-  }
-  static StageMetrics &bridge() {
-    static StageMetrics m = make("bridge");
-    return m;
-  }
-  static StageMetrics &synth() {
-    static StageMetrics m = make("synth");
-    return m;
-  }
-};
-
 /// Structural payload size of a cached value: strings at their length,
 /// report structures via sizeof plus owned string/vector payloads. An
 /// approximation (malloc slack and map-node overhead are not counted) but
 /// a consistent one: store/evict adjustments always agree.
-int64_t entryBytes(const std::string &text) {
+int64_t payloadBytes(const std::string &text) {
   return static_cast<int64_t>(text.size());
 }
 
-int64_t entryBytes(const StageCache::BridgeEntry &entry) {
+int64_t payloadBytes(const StageCache::BridgeEntry &entry) {
   int64_t n = static_cast<int64_t>(sizeof(entry) + entry.lirText.size() +
                                    entry.hlsCpp.size());
   for (const auto &[name, value] : entry.adaptorStats)
@@ -85,7 +63,7 @@ int64_t entryBytes(const StageCache::BridgeEntry &entry) {
   return n;
 }
 
-int64_t entryBytes(const vhls::SynthesisReport &report) {
+int64_t payloadBytes(const vhls::SynthesisReport &report) {
   int64_t n = static_cast<int64_t>(sizeof(report) + report.topName.size());
   for (const auto &[name, value] : report.compat.violations)
     n += static_cast<int64_t>(name.size() + sizeof(value));
@@ -101,20 +79,29 @@ int64_t entryBytes(const vhls::SynthesisReport &report) {
   return n;
 }
 
+int64_t entryBytes(const StageCache::Entry &entry) {
+  return std::visit([](const auto &value) { return payloadBytes(value); },
+                    entry);
+}
+
 /// LRU bookkeeping per stage map. The recency list holds (key, seq)
 /// pairs, most-recent at the front; `seq` is a cache-wide monotonic touch
-/// counter, so the backs of the three stage lists can be compared to find
-/// the globally coldest entry when the byte cap needs space.
+/// counter, so the backs of the stage lists can be compared to find the
+/// globally coldest entry when the byte cap needs space.
 using LruList = std::list<std::pair<uint64_t, uint64_t>>;
 
-template <typename Value>
 struct StageMap {
   struct Node {
-    Value value;
+    StageCache::Entry value;
     LruList::iterator lru;
   };
   std::unordered_map<uint64_t, Node> map;
   LruList lru;
+  // mha_stage_cache_* series: hit/miss/eviction counters gated on
+  // metrics::enabled(); the resident-bytes gauge tracks the structural
+  // byte total unconditionally so it always matches counters().
+  metrics::Counter *hits = nullptr, *misses = nullptr, *evictions = nullptr;
+  metrics::Gauge *bytes = nullptr;
 
   /// `seq` of the least-recently-used entry (the eviction candidate);
   /// UINT64_MAX when the map is empty so it never wins the coldest race.
@@ -127,95 +114,57 @@ struct StageMap {
 
 struct StageCache::Impl {
   mutable std::mutex mutex;
-  StageMap<std::string> mlir;
-  StageMap<BridgeEntry> bridge;
-  StageMap<vhls::SynthesisReport> synth;
+  StageMap stages[kStages];
   Counters counters;
   int64_t limitBytes = 0; // 0 = unbounded
   uint64_t nextSeq = 0;
 
-  /// Drops the LRU entry of `stage`, keeping its byte total, eviction
-  /// counters and resident-bytes gauge in step.
-  template <typename Value>
-  void evictColdest(StageMap<Value> &stage, StageMetrics &sm,
-                    int64_t &byteTotal, int64_t &evictedCount) {
-    auto it = stage.map.find(stage.lru.back().first);
-    byteTotal -= entryBytes(it->second.value);
-    stage.map.erase(it);
-    stage.lru.pop_back();
-    ++evictedCount;
-    ++sm.evictions;
-    ++statEvicted;
-    sm.bytes.set(byteTotal);
+  Impl() {
+    metrics::Registry &reg = metrics::Registry::global();
+    for (size_t s = 0; s < kStages; ++s) {
+      metrics::Labels labels = {{"stage", stageInfo[s].name}};
+      stages[s].hits = &reg.counter("mha_stage_cache_hits_total",
+                                    "stage-cache lookup hits", labels);
+      stages[s].misses = &reg.counter("mha_stage_cache_misses_total",
+                                      "stage-cache lookup misses", labels);
+      stages[s].evictions =
+          &reg.counter("mha_stage_cache_evictions_total",
+                       "stage-cache entries evicted (LRU)", labels);
+      stages[s].bytes = &reg.gauge("mha_stage_cache_bytes",
+                                   "payload bytes resident in the stage map",
+                                   labels);
+    }
   }
 
-  /// Evicts globally-coldest entries (across all three stages) until the
-  /// total payload fits the byte cap again.
+  /// Drops the LRU entry of `stage`, keeping its byte total, eviction
+  /// counters and resident-bytes gauge in step.
+  void evictColdest(size_t stage) {
+    StageMap &m = stages[stage];
+    int64_t &bytes = counters.*stageInfo[stage].bytes;
+    auto it = m.map.find(m.lru.back().first);
+    bytes -= entryBytes(it->second.value);
+    m.map.erase(it);
+    m.lru.pop_back();
+    ++(counters.*stageInfo[stage].evictions);
+    ++*m.evictions;
+    ++statEvicted;
+    m.bytes->set(bytes);
+  }
+
+  /// Evicts globally-coldest entries (across all stages) until the total
+  /// payload fits the byte cap again.
   void enforceLimit() {
     if (limitBytes <= 0)
       return;
     while (counters.bytes() > limitBytes) {
-      uint64_t mlirSeq = mlir.coldestSeq();
-      uint64_t bridgeSeq = bridge.coldestSeq();
-      uint64_t synthSeq = synth.coldestSeq();
-      if (mlirSeq == UINT64_MAX && bridgeSeq == UINT64_MAX &&
-          synthSeq == UINT64_MAX)
+      size_t coldest = 0;
+      for (size_t s = 1; s < kStages; ++s)
+        if (stages[s].coldestSeq() < stages[coldest].coldestSeq())
+          coldest = s;
+      if (stages[coldest].lru.empty())
         return; // all maps empty (cannot happen while bytes() > 0)
-      if (mlirSeq <= bridgeSeq && mlirSeq <= synthSeq)
-        evictColdest(mlir, StageMetrics::mlir(), counters.mlirBytes,
-                     counters.mlirEvictions);
-      else if (bridgeSeq <= synthSeq)
-        evictColdest(bridge, StageMetrics::bridge(), counters.bridgeBytes,
-                     counters.bridgeEvictions);
-      else
-        evictColdest(synth, StageMetrics::synth(), counters.synthBytes,
-                     counters.synthEvictions);
+      evictColdest(coldest);
     }
-  }
-
-  template <typename Value>
-  bool lookup(StageMap<Value> &stage, uint64_t key, Value &out,
-              telemetry::Statistic &hit, telemetry::Statistic &miss,
-              StageMetrics &sm, int64_t &hitCount, int64_t &missCount) {
-    std::lock_guard<std::mutex> guard(mutex);
-    auto it = stage.map.find(key);
-    if (it == stage.map.end()) {
-      ++miss;
-      ++missCount;
-      ++sm.misses;
-      return false;
-    }
-    // Refresh recency: a hit entry moves to the front with a fresh seq.
-    stage.lru.erase(it->second.lru);
-    stage.lru.emplace_front(key, nextSeq++);
-    it->second.lru = stage.lru.begin();
-    out = it->second.value;
-    ++hit;
-    ++hitCount;
-    ++sm.hits;
-    return true;
-  }
-
-  template <typename Value>
-  void store(StageMap<Value> &stage, uint64_t key, Value value,
-             StageMetrics &sm, int64_t &byteTotal, int64_t &evictedCount) {
-    std::lock_guard<std::mutex> guard(mutex);
-    if (stage.map.size() >= kMaxEntriesPerStage &&
-        stage.map.find(key) == stage.map.end())
-      evictColdest(stage, sm, byteTotal, evictedCount);
-    auto it = stage.map.find(key);
-    if (it != stage.map.end()) {
-      byteTotal -= entryBytes(it->second.value);
-      stage.lru.erase(it->second.lru);
-      stage.map.erase(it);
-    }
-    byteTotal += entryBytes(value);
-    stage.lru.emplace_front(key, nextSeq++);
-    stage.map.emplace(key,
-                      typename StageMap<Value>::Node{std::move(value),
-                                                     stage.lru.begin()});
-    sm.bytes.set(byteTotal);
-    enforceLimit();
   }
 };
 
@@ -229,11 +178,15 @@ StageCache &StageCache::global() {
   return instance;
 }
 
+metrics::Histogram &StageCache::keyHistogram() {
+  static metrics::Histogram &hist = metrics::Registry::global().histogram(
+      "mha_stage_cache_key_us", "stage-cache key computation time");
+  return hist;
+}
+
 uint64_t StageCache::synthKey(const std::string &lirText,
                               const vhls::SynthesisOptions &options) {
-  static metrics::Histogram &keyUs = metrics::Registry::global().histogram(
-      "mha_stage_cache_key_us", "stage-cache key computation time");
-  metrics::Timer timer(keyUs);
+  metrics::Timer timer(keyHistogram());
   HashBuilder hb;
   hb.str("synth").str(lirText);
   const vhls::TargetSpec &t = options.target;
@@ -252,43 +205,44 @@ uint64_t StageCache::synthKey(const std::string &lirText,
   return hb.get();
 }
 
-bool StageCache::lookupMlir(uint64_t key, std::string &mirText) {
+bool StageCache::lookup(Stage stage, uint64_t key, Entry &out) {
   Impl &i = impl();
-  return i.lookup(i.mlir, key, mirText, statMlirHit, statMlirMiss,
-                  StageMetrics::mlir(), i.counters.mlirHits,
-                  i.counters.mlirMisses);
+  size_t s = static_cast<size_t>(stage);
+  std::lock_guard<std::mutex> guard(i.mutex);
+  StageMap &m = i.stages[s];
+  auto it = m.map.find(key);
+  bool hit = it != m.map.end();
+  ++(hit ? stageInfo[s].hit : stageInfo[s].miss);
+  ++(i.counters.*(hit ? stageInfo[s].hits : stageInfo[s].misses));
+  ++*(hit ? m.hits : m.misses);
+  if (!hit)
+    return false;
+  // Refresh recency: a hit entry moves to the front with a fresh seq.
+  m.lru.splice(m.lru.begin(), m.lru, it->second.lru);
+  it->second.lru->second = i.nextSeq++;
+  out = it->second.value;
+  return true;
 }
 
-void StageCache::storeMlir(uint64_t key, std::string mirText) {
+void StageCache::store(uint64_t key, Entry value) {
   Impl &i = impl();
-  i.store(i.mlir, key, std::move(mirText), StageMetrics::mlir(),
-          i.counters.mlirBytes, i.counters.mlirEvictions);
-}
-
-bool StageCache::lookupBridge(uint64_t key, BridgeEntry &entry) {
-  Impl &i = impl();
-  return i.lookup(i.bridge, key, entry, statBridgeHit, statBridgeMiss,
-                  StageMetrics::bridge(), i.counters.bridgeHits,
-                  i.counters.bridgeMisses);
-}
-
-void StageCache::storeBridge(uint64_t key, BridgeEntry entry) {
-  Impl &i = impl();
-  i.store(i.bridge, key, std::move(entry), StageMetrics::bridge(),
-          i.counters.bridgeBytes, i.counters.bridgeEvictions);
-}
-
-bool StageCache::lookupSynth(uint64_t key, vhls::SynthesisReport &report) {
-  Impl &i = impl();
-  return i.lookup(i.synth, key, report, statSynthHit, statSynthMiss,
-                  StageMetrics::synth(), i.counters.synthHits,
-                  i.counters.synthMisses);
-}
-
-void StageCache::storeSynth(uint64_t key, vhls::SynthesisReport report) {
-  Impl &i = impl();
-  i.store(i.synth, key, std::move(report), StageMetrics::synth(),
-          i.counters.synthBytes, i.counters.synthEvictions);
+  size_t s = value.index();
+  std::lock_guard<std::mutex> guard(i.mutex);
+  StageMap &m = i.stages[s];
+  int64_t &bytes = i.counters.*stageInfo[s].bytes;
+  auto it = m.map.find(key);
+  if (it != m.map.end()) {
+    bytes -= entryBytes(it->second.value);
+    m.lru.erase(it->second.lru);
+    m.map.erase(it);
+  } else if (m.map.size() >= kMaxEntriesPerStage) {
+    i.evictColdest(s);
+  }
+  bytes += entryBytes(value);
+  m.lru.emplace_front(key, i.nextSeq++);
+  m.map.emplace(key, StageMap::Node{std::move(value), m.lru.begin()});
+  m.bytes->set(bytes);
+  i.enforceLimit();
 }
 
 void StageCache::setLimitBytes(int64_t limitBytes) {
@@ -313,22 +267,12 @@ StageCache::Counters StageCache::counters() const {
 void StageCache::clear() {
   Impl &i = impl();
   std::lock_guard<std::mutex> guard(i.mutex);
-  i.mlir.map.clear();
-  i.mlir.lru.clear();
-  i.bridge.map.clear();
-  i.bridge.lru.clear();
-  i.synth.map.clear();
-  i.synth.lru.clear();
+  for (StageMap &m : i.stages) {
+    m.map.clear();
+    m.lru.clear();
+    m.bytes->set(0);
+  }
   i.counters = Counters();
-  StageMetrics::mlir().bytes.set(0);
-  StageMetrics::bridge().bytes.set(0);
-  StageMetrics::synth().bytes.set(0);
-}
-
-size_t StageCache::size() const {
-  Impl &i = impl();
-  std::lock_guard<std::mutex> guard(i.mutex);
-  return i.mlir.map.size() + i.bridge.map.size() + i.synth.map.size();
 }
 
 } // namespace mha::flow

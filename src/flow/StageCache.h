@@ -1,19 +1,25 @@
 // StageCache.h - content-addressed incremental-recompilation cache.
 //
-// Each flow stage hashes its *input* (the printed IR it consumes plus the
-// options that shape it) into a 64-bit key and looks up the stage's
-// *output* before doing any work. Keys are content-addressed, so the
-// cache composes transitively: an edit to one kernel invalidates exactly
-// that kernel's chain from the edited stage downward, and two kernels
-// that lower to identical IR share the downstream entries.
+// The flow executor (Flow.cpp) hashes each stage's *input* (the printed IR
+// it consumes plus the options that shape it) into a 64-bit key and looks
+// up the stage's *output* before running it. Keys are content-addressed,
+// so the cache composes transitively: an edit to one kernel invalidates
+// exactly that kernel's chain from the edited stage downward, and two
+// kernels that lower to identical IR share the downstream entries.
 //
-// Three stage kinds are cached:
-//   mlir    key = H(kernel, config, MLIR-level options)
+// One map per Stage; an Entry is a variant whose alternative index is its
+// stage:
+//   Mlir    key = H(kernel, config, MLIR-level options)
 //           value = printed mir module after the shared MLIR preparation
-//   bridge  key = H(mir text, bridge options)   [per flow kind]
-//           value = printed lir module (+ adaptor stats / emitted C++)
-//   synth   key = H(lir text, synthesis options)
+//   Bridge  key = H(mir text, bridge options)   [per flow kind]
+//           value = BridgeEntry: printed lir module (+ adaptor stats /
+//           emitted C++)
+//   Synth   key = H(lir text, synthesis options)
 //           value = the SynthesisReport
+// Everything per stage inside the cache (map, LRU list, counters,
+// statistics, metrics) is an array indexed by Stage. The typed
+// lookupX/storeX wrappers and the named Counters fields are the stable
+// API for code outside the flow executor.
 //
 // The cache is process-global and thread-safe: BatchRunner jobs, the DSE
 // evaluator, the fuzz oracle and mha-serve sessions all share it through
@@ -25,12 +31,12 @@
 // optional process-wide byte cap (setLimitBytes, `--stage-cache-limit` on
 // mha-serve). Both evict least-recently-used entries — every lookup hit
 // and store refreshes its entry's recency, and the byte cap always evicts
-// the globally coldest entry across the three stage maps, so a resident
-// daemon serving millions of requests converges on its hot working set
-// instead of growing without bound.
+// the globally coldest entry across the stage maps, so a resident daemon
+// serving millions of requests converges on its hot working set instead
+// of growing without bound.
 //
 // Hit/miss/eviction counts land in the "flow.cache" statistic group
-// (--stats) and are also readable structurally via counters() for tests.
+// (--stats), the mha_stage_cache_* metrics, and counters().
 #pragma once
 
 #include "lir/PassManager.h"
@@ -38,6 +44,11 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
+
+namespace mha::metrics {
+class Histogram;
+}
 
 namespace mha::flow {
 
@@ -45,6 +56,8 @@ class StageCache {
 public:
   /// The shared process-wide instance every flow uses.
   static StageCache &global();
+
+  enum class Stage { Mlir, Bridge, Synth };
 
   /// Bridge-stage output: the flow-specific leg from mir text to HLS-ready
   /// lir text. The adaptor flow fills `adaptorStats`; the C++ flow fills
@@ -54,6 +67,9 @@ public:
     std::string hlsCpp;
     lir::PassStats adaptorStats;
   };
+
+  /// One cached stage output; `index()` is its Stage.
+  using Entry = std::variant<std::string, BridgeEntry, vhls::SynthesisReport>;
 
   /// Structural hit/miss/bytes snapshot (mirrors the "flow.cache"
   /// statistics and the mha_stage_cache_* metrics). Byte totals count the
@@ -79,14 +95,24 @@ public:
     }
   };
 
-  bool lookupMlir(uint64_t key, std::string &mirText);
-  void storeMlir(uint64_t key, std::string mirText);
+  /// Copies the `stage` entry under `key` into `out` and refreshes its
+  /// recency; false (a counted miss) when there is none.
+  bool lookup(Stage stage, uint64_t key, Entry &out);
+  /// Stores `value` under `key` in the map of its stage (`value.index()`).
+  void store(uint64_t key, Entry value);
 
-  bool lookupBridge(uint64_t key, BridgeEntry &entry);
-  void storeBridge(uint64_t key, BridgeEntry entry);
-
-  bool lookupSynth(uint64_t key, vhls::SynthesisReport &report);
-  void storeSynth(uint64_t key, vhls::SynthesisReport report);
+  bool lookupMlir(uint64_t key, std::string &mirText) {
+    return lookupAs(Stage::Mlir, key, mirText);
+  }
+  void storeMlir(uint64_t key, std::string mirText) {
+    store(key, std::move(mirText));
+  }
+  bool lookupBridge(uint64_t key, BridgeEntry &entry) {
+    return lookupAs(Stage::Bridge, key, entry);
+  }
+  bool lookupSynth(uint64_t key, vhls::SynthesisReport &report) {
+    return lookupAs(Stage::Synth, key, report);
+  }
 
   /// Synth-stage key: the printed pre-synthesis lir module plus every
   /// synthesis option (field by field — extend when SynthesisOptions
@@ -95,30 +121,34 @@ public:
   static uint64_t synthKey(const std::string &lirText,
                            const vhls::SynthesisOptions &options);
 
-  /// Caps total resident payload bytes across the three stage maps
-  /// (0 = unbounded, the default). When a store pushes the total past the
-  /// cap, least-recently-used entries are evicted — globally, coldest
-  /// first, regardless of stage — until the total fits again. An entry
-  /// larger than the whole cap is evicted immediately after landing, so
-  /// the resident-bytes gauges never exceed the cap after any store.
+  /// `mha_stage_cache_key_us`: the time of every stage-key computation.
+  static metrics::Histogram &keyHistogram();
+
+  /// Caps total resident payload bytes across the stage maps (0 =
+  /// unbounded, the default). When a store pushes the total past the cap,
+  /// least-recently-used entries are evicted — globally, coldest first,
+  /// regardless of stage — until the total fits again. An entry larger
+  /// than the whole cap is evicted immediately after landing, so the
+  /// resident-bytes gauges never exceed the cap after any store.
   void setLimitBytes(int64_t limitBytes);
   int64_t limitBytes() const;
 
   Counters counters() const;
 
-  /// The observability-layer name for counters(): one consistent snapshot
-  /// of hits, misses, resident bytes and hitRate().
-  Counters stats() const { return counters(); }
-
   /// Drops every entry and zeroes the structural counters (tests; the
   /// "flow.cache" statistics follow the global telemetry reset instead).
   void clear();
 
-  /// Total cached entries across all three stage maps.
-  size_t size() const;
-
 private:
   StageCache() = default;
+
+  template <typename T> bool lookupAs(Stage stage, uint64_t key, T &out) {
+    Entry entry;
+    if (!lookup(stage, key, entry))
+      return false;
+    out = std::get<T>(std::move(entry));
+    return true;
+  }
 
   struct Impl;
   Impl &impl() const;

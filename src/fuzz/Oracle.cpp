@@ -8,13 +8,12 @@
 #include "fuzz/Oracle.h"
 
 #include "adaptor/Adaptor.h"
-#include "flow/StageCache.h"
+#include "flow/Flow.h"
 #include "hlscpp/Emitter.h"
 #include "hlscpp/Frontend.h"
 #include "interp/Interp.h"
 #include "lir/LContext.h"
 #include "lir/Parser.h"
-#include "lir/Printer.h"
 #include "lir/PassManager.h"
 #include "lir/Verifier.h"
 #include "lir/transforms/Transforms.h"
@@ -177,19 +176,8 @@ OracleResult checkKernel(const Program &program,
   if (options.runVhls) {
     vhls::SynthesisOptions synthOpts;
     synthOpts.topFunction = spec.name;
-    uint64_t synthKey = 0;
-    vhls::SynthesisReport report;
-    bool cached = false;
-    if (options.useStageCache) {
-      synthKey =
-          flow::StageCache::synthKey(lir::printModule(*lowered), synthOpts);
-      cached = flow::StageCache::global().lookupSynth(synthKey, report);
-    }
-    if (!cached) {
-      report = vhls::synthesize(*lowered, synthOpts, diags);
-      if (options.useStageCache && report.accepted)
-        flow::StageCache::global().storeSynth(synthKey, report);
-    }
+    vhls::SynthesisReport report = flow::synthesizeCached(
+        *lowered, synthOpts, options.useStageCache, diags);
     if (!report.accepted)
       return fail(FailureKind::FlowError, "vhls",
                   "synthesis rejected: " + diags.str());
@@ -349,19 +337,8 @@ OracleResult checkCalls(const CallProgram &program,
   if (options.runVhls) {
     vhls::SynthesisOptions synthOpts;
     synthOpts.topFunction = "fuzz_calls";
-    uint64_t synthKey = 0;
-    vhls::SynthesisReport report;
-    bool cached = false;
-    if (options.useStageCache) {
-      synthKey =
-          flow::StageCache::synthKey(lir::printModule(*module), synthOpts);
-      cached = flow::StageCache::global().lookupSynth(synthKey, report);
-    }
-    if (!cached) {
-      report = vhls::synthesize(*module, synthOpts, diags);
-      if (options.useStageCache && report.accepted)
-        flow::StageCache::global().storeSynth(synthKey, report);
-    }
+    vhls::SynthesisReport report = flow::synthesizeCached(
+        *module, synthOpts, options.useStageCache, diags);
     if (!report.accepted)
       return fail(FailureKind::FlowError, "vhls",
                   "synthesis rejected: " + diags.str());

@@ -104,9 +104,7 @@ SessionOutcome runSession(const Request &req, const SessionOptions &options,
       return runEstimate(req, *spec, options, cancelFlag, emit);
     flow::FlowOptions fo = makeFlowOptions(req, options, cancelFlag, emit);
     flow::FlowResult result =
-        req.flowKind == flow::FlowKind::Adaptor
-            ? flow::runAdaptorFlow(*spec, req.config, fo)
-            : flow::runHlsCppFlow(*spec, req.config, fo);
+        flow::runFlow(req.flowKind, *spec, req.config, fo);
     return finishFlow(req, result, emit);
   }
 
@@ -193,10 +191,7 @@ SessionOutcome runSession(const Request &req, const SessionOptions &options,
     // top (the StageCache synth key includes it, so per-top results of
     // the same module never collide).
     fo.synthesis.topFunction = top;
-    flow::FlowResult result =
-        req.flowKind == flow::FlowKind::Adaptor
-            ? flow::runAdaptorFlow(spec, req.config, fo)
-            : flow::runHlsCppFlow(spec, req.config, fo);
+    flow::FlowResult result = flow::runFlow(req.flowKind, spec, req.config, fo);
     return finishFlow(req, result, emit);
   }
 }

@@ -2,10 +2,14 @@
 // by the virtual HLS frontend, co-simulates bit-exactly, and the two flows
 // produce comparable results (the paper's headline claim).
 #include "flow/Flow.h"
+#include "flow/StageCache.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <fstream>
+#include <sstream>
 
 using namespace mha;
 using namespace mha::flow;
@@ -256,4 +260,155 @@ TEST(Flow, MlirLevelUnrollThroughCppFlow) {
   std::string error;
   EXPECT_TRUE(cosimAgainstReference(m, *findKernel("jacobi2d"), error))
       << error;
+}
+
+namespace {
+
+/// tools/testdata/multifn.lir: calls, recursion and a named top.
+const std::string &multifnText() {
+  static const std::string text = [] {
+    std::ifstream in(MHA_TESTDATA_DIR "/multifn.lir");
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  }();
+  return text;
+}
+
+enum class Entry { Adaptor, HlsCpp, Lir };
+
+/// What one run exposes of its stage sequence.
+struct Observed {
+  std::vector<std::pair<std::string, std::string>> spans; // (stage, name)
+  std::vector<std::string> stages;                        // onStage calls
+  bool synthFromCache = false;
+};
+
+Observed runEntry(Entry entry, bool useStageCache, double clockPeriodNs) {
+  Observed observed;
+  FlowOptions options;
+  options.useStageCache = useStageCache;
+  options.synthesis.target.clockPeriodNs = clockPeriodNs;
+  options.onStage = [&](const char *stage) {
+    observed.stages.push_back(stage);
+  };
+  const KernelSpec &gemm = *findKernel("gemm");
+  FlowResult result =
+      entry == Entry::Adaptor  ? runAdaptorFlow(gemm, {}, options)
+      : entry == Entry::HlsCpp ? runHlsCppFlow(gemm, {}, options)
+                               : runLirAdaptorFlow(multifnText(), "multifn",
+                                                   options);
+  EXPECT_TRUE(result.ok) << result.diagnostics;
+  for (const StageSpan &span : result.spans)
+    observed.spans.emplace_back(span.stage, span.name);
+  observed.synthFromCache = result.synthFromCache;
+  return observed;
+}
+
+} // namespace
+
+// The stage contract of every entry point: the exact FlowResult span list
+// and onStage sequence under each StageCache state. The entries share one
+// stage executor; this pins what it must keep producing.
+TEST(Flow, StageContractAcrossCacheStates) {
+  using Spans = std::vector<std::pair<std::string, std::string>>;
+  struct Case {
+    const char *label;
+    Entry entry;
+    Spans fresh;    // cache off, or a cold cache
+    Spans restored; // full hit, or a synth-only TargetSpec edit
+    std::vector<std::string> stages;
+  };
+  const std::vector<std::string> kernelStages = {"mlirOpt", "bridge",
+                                                 "synth"};
+  const std::vector<Case> cases = {
+      {"adaptor",
+       Entry::Adaptor,
+       {{"mlirOpt", "prepare-mlir"},
+        {"bridge", "affine-to-scf"},
+        {"bridge", "lower-to-lir"},
+        {"bridge", "adaptor-pipeline"},
+        {"synth", "vhls"}},
+       {{"mlirOpt", "prepare-mlir"},
+        {"bridge", "bridge-cache-restore"},
+        {"synth", "vhls"}},
+       kernelStages},
+      {"hls-c++",
+       Entry::HlsCpp,
+       {{"mlirOpt", "prepare-mlir"},
+        {"bridge", "emit-hls-cpp"},
+        {"bridge", "hls-frontend"},
+        {"synth", "vhls"}},
+       {{"mlirOpt", "prepare-mlir"},
+        {"bridge", "bridge-cache-restore"},
+        {"synth", "vhls"}},
+       kernelStages},
+      {"lir",
+       Entry::Lir,
+       {{"bridge", "parse-lir"},
+        {"bridge", "adaptor-pipeline"},
+        {"synth", "vhls"}},
+       {{"bridge", "parse-lir"},
+        {"bridge", "bridge-cache-restore"},
+        {"synth", "vhls"}},
+       {"bridge", "synth"}},
+  };
+  for (const Case &c : cases) {
+    SCOPED_TRACE(c.label);
+    StageCache::global().clear();
+    struct State {
+      const char *name;
+      bool useStageCache;
+      double clockPeriodNs;
+      const Spans *spans;
+      bool synthFromCache;
+    };
+    for (const State &state : {State{"off", false, 10.0, &c.fresh, false},
+                               State{"cold", true, 10.0, &c.fresh, false},
+                               State{"warm", true, 10.0, &c.restored, true},
+                               State{"synth-edit", true, 5.0, &c.restored,
+                                     false}}) {
+      SCOPED_TRACE(state.name);
+      Observed observed =
+          runEntry(c.entry, state.useStageCache, state.clockPeriodNs);
+      EXPECT_EQ(observed.spans, *state.spans);
+      EXPECT_EQ(observed.stages, c.stages);
+      EXPECT_EQ(observed.synthFromCache, state.synthFromCache);
+    }
+  }
+  StageCache::global().clear();
+}
+
+// Early exits still close the total window: a failing direct-LIR run and
+// a run cancelled before synth both report a totalMs covering every stage
+// window they opened.
+TEST(Flow, FailedAndCancelledRunsReportTotalTime) {
+  auto expectTotalCoversWindows = [](const FlowResult &result) {
+    const StageTimings &t = result.timings;
+    EXPECT_GT(t.totalMs, 0);
+    EXPECT_GE(t.totalMs, t.mlirOptMs + t.bridgeMs + t.synthMs);
+  };
+
+  FlowResult failed = runLirAdaptorFlow(multifnText(), "no_such_top");
+  EXPECT_FALSE(failed.ok);
+  EXPECT_NE(failed.diagnostics.find("top function 'no_such_top' not found"),
+            std::string::npos)
+      << failed.diagnostics;
+  EXPECT_GT(failed.timings.bridgeMs, 0);
+  expectTotalCoversWindows(failed);
+
+  std::atomic<bool> cancel{false};
+  FlowOptions options;
+  options.cancelFlag = &cancel;
+  options.onStage = [&](const char *stage) {
+    if (std::string(stage) == "bridge")
+      cancel = true;
+  };
+  FlowResult cancelled = runAdaptorFlow(*findKernel("fir"), {}, options);
+  EXPECT_TRUE(cancelled.cancelled);
+  EXPECT_FALSE(cancelled.ok);
+  EXPECT_EQ(cancelled.diagnostics, "flow cancelled before synth stage");
+  EXPECT_GT(cancelled.timings.bridgeMs, 0);
+  EXPECT_EQ(cancelled.timings.synthMs, 0);
+  expectTotalCoversWindows(cancelled);
 }

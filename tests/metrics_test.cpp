@@ -425,7 +425,7 @@ TEST(MetricsStageCache, HitMissBytesTrackLookups) {
   EXPECT_TRUE(cache.lookupMlir(1, text));
   EXPECT_EQ(text, "cached mir text");
 
-  flow::StageCache::Counters stats = cache.stats();
+  flow::StageCache::Counters stats = cache.counters();
   EXPECT_EQ(stats.mlirHits, 1);
   EXPECT_EQ(stats.mlirMisses, 1);
   EXPECT_EQ(stats.mlirBytes, int64_t(std::string("cached mir text").size()));
@@ -445,9 +445,26 @@ TEST(MetricsStageCache, HitMissBytesTrackLookups) {
             stats.mlirBytes);
 
   cache.clear();
-  EXPECT_EQ(cache.stats().bytes(), 0);
+  EXPECT_EQ(cache.counters().bytes(), 0);
   EXPECT_EQ(reg.gauge("mha_stage_cache_bytes", "", {{"stage", "mlir"}}).value(),
             0);
+}
+
+TEST(MetricsStageCache, OneKeySamplePerStage) {
+  MetricsScope scope;
+  flow::StageCache::global().clear();
+  metrics::Histogram &keys = metrics::Registry::global().histogram(
+      "mha_stage_cache_key_us", "stage-cache key computation time");
+  int64_t before = keys.merged().count;
+  flow::FlowOptions options;
+  options.useStageCache = true;
+  flow::FlowResult result =
+      flow::runAdaptorFlow(*flow::findKernel("fir"), {}, options);
+  ASSERT_TRUE(result.ok) << result.diagnostics;
+  // A cold cached run misses all three stages; each key (mlir, bridge,
+  // synth) is computed once for its lookup and reused for its store.
+  EXPECT_EQ(keys.merged().count - before, 3);
+  flow::StageCache::global().clear();
 }
 
 // --- event log -------------------------------------------------------------
