@@ -886,6 +886,17 @@ private:
 
 } // namespace
 
+void buildFrontendPipeline(lir::PassManager &pm) {
+  // The frontend's "O2-lite": promote locals, canonicalize loops.
+  pm.add(lir::createMem2RegPass());
+  pm.add(lir::createInstCombinePass());
+  pm.add(lir::createCSEPass());
+  pm.add(lir::createDCEPass());
+  pm.add(lir::createSimplifyCFGPass());
+  pm.add(lir::createLICMPass());
+  pm.add(lir::createDCEPass());
+}
+
 std::unique_ptr<lir::Module> parseHlsCpp(std::string_view source,
                                          lir::LContext &ctx,
                                          DiagnosticEngine &diags,
@@ -894,15 +905,8 @@ std::unique_ptr<lir::Module> parseHlsCpp(std::string_view source,
   std::unique_ptr<lir::Module> module = frontend.run();
   if (!module || !optimize)
     return module;
-  // The frontend's "O2-lite": promote locals, canonicalize loops.
   lir::PassManager pm(/*verifyEach=*/true);
-  pm.add(lir::createMem2RegPass());
-  pm.add(lir::createInstCombinePass());
-  pm.add(lir::createCSEPass());
-  pm.add(lir::createDCEPass());
-  pm.add(lir::createSimplifyCFGPass());
-  pm.add(lir::createLICMPass());
-  pm.add(lir::createDCEPass());
+  buildFrontendPipeline(pm);
   if (!pm.run(*module, diags))
     return nullptr;
   return module;

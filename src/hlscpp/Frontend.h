@@ -10,6 +10,7 @@
 #pragma once
 
 #include "lir/Function.h"
+#include "lir/PassManager.h"
 #include "support/Diagnostics.h"
 
 #include <memory>
@@ -24,5 +25,9 @@ std::unique_ptr<lir::Module> parseHlsCpp(std::string_view source,
                                          lir::LContext &ctx,
                                          DiagnosticEngine &diags,
                                          bool optimize = true);
+
+/// Adds the frontend's standard cleanup pipeline (the passes parseHlsCpp
+/// runs when `optimize` is set) to `pm`.
+void buildFrontendPipeline(lir::PassManager &pm);
 
 } // namespace mha::hlscpp

@@ -1,10 +1,11 @@
 #include "lir/Function.h"
 
 #include "lir/LContext.h"
-#include "support/StringUtils.h"
+#include "support/FlatSet.h"
 
+#include <algorithm>
 #include <cassert>
-#include <set>
+#include <string_view>
 
 namespace mha::lir {
 
@@ -105,47 +106,51 @@ void Function::renumberValues() {
   // within the function: passes are free to reuse a fixed name (e.g. one
   // "idx.scaled" per subscript), and a duplicate would make later uses
   // rebind to the wrong definition when the output is parsed back.
-  std::set<std::string> taken;
-  auto claim = [&taken](const std::string &name) {
-    if (taken.insert(name).second)
-      return name;
-    for (unsigned n = 1;; ++n) {
-      std::string candidate = strfmt("%s.%u", name.c_str(), n);
-      if (taken.insert(candidate).second)
-        return candidate;
+  // Blocks and values are separate namespaces, claimed in two sweeps over
+  // one set of views into the names already assigned (stable: a claimed
+  // name is never reassigned within the sweep).
+  size_t numValues = args_.size();
+  for (auto &bb : blocks_)
+    numValues += bb->size();
+  FlatSet<std::string_view> taken(std::max(numValues, blocks_.size()));
+  // Claims `name`, or the first free `name.N`, for `value`.
+  auto claim = [&taken](Value &value, std::string_view name) {
+    std::string_view *slot = &taken.slot(name);
+    if (!slot->empty()) {
+      std::string base = std::string(name) + '.';
+      std::string candidate;
+      for (unsigned n = 1; !slot->empty(); ++n) {
+        candidate = base + std::to_string(n);
+        slot = &taken.slot(candidate);
+      }
+      value.setName(std::move(candidate));
+    } else if (name != value.name()) {
+      value.setName(std::string(name));
     }
+    *slot = value.name();
   };
-  unsigned next = 0;
-  for (auto &arg : args_)
-    if (arg->hasName())
-      arg->setName(claim(arg->name()));
-    else
-      arg->setName(claim(strfmt("%u", next++)));
   unsigned bbNum = 0;
-  std::set<std::string> takenBlocks;
-  auto claimBlock = [&takenBlocks](const std::string &name) {
-    if (takenBlocks.insert(name).second)
-      return name;
-    for (unsigned n = 1;; ++n) {
-      std::string candidate = strfmt("%s.%u", name.c_str(), n);
-      if (takenBlocks.insert(candidate).second)
-        return candidate;
-    }
-  };
   for (auto &bb : blocks_) {
     if (bb->hasName())
-      bb->setName(claimBlock(bb->name()));
+      claim(*bb, bb->name());
     else
-      bb->setName(claimBlock(strfmt("bb%u", bbNum)));
+      claim(*bb, "bb" + std::to_string(bbNum));
     ++bbNum;
-    for (auto &inst : *bb)
-      if (!inst->type()->isVoid()) {
-        if (inst->hasName())
-          inst->setName(claim(inst->name()));
-        else
-          inst->setName(claim(strfmt("%u", next++)));
-      }
   }
+  taken.clear();
+  unsigned next = 0;
+  auto claimValue = [&](Value &value) {
+    if (value.hasName())
+      claim(value, value.name());
+    else
+      claim(value, std::to_string(next++));
+  };
+  for (auto &arg : args_)
+    claimValue(*arg);
+  for (auto &bb : blocks_)
+    for (auto &inst : *bb)
+      if (!inst->type()->isVoid())
+        claimValue(*inst);
 }
 
 Module::~Module() {

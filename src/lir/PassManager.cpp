@@ -156,6 +156,7 @@ bool PassManager::runOnePass(ModulePass &pass, Module &module,
 bool PassManager::run(Module &module, DiagnosticEngine &diags) {
   records_.clear();
   telemetry::Tracer &tracer = telemetry::Tracer::global();
+  bool verified = false; // the module is in the state last verified
   for (auto &pass : passes_) {
     PassRunRecord record;
     record.passName = pass->name();
@@ -174,17 +175,22 @@ bool PassManager::run(Module &module, DiagnosticEngine &diags) {
     for (auto it = instrumentations_.rbegin(); it != instrumentations_.rend();
          ++it)
       (*it)->afterPass(*pass, module, record);
+    const bool changed = record.changed;
     records_.push_back(std::move(record));
     if (diags.hadError()) {
       diags.note(strfmt("pipeline aborted after pass '%s'",
                         pass->name().c_str()));
       return false;
     }
-    if (verifyEach_ && !verifyModule(module, diags)) {
+    if (!verifyEach_ || (verified && !changed))
+      continue;
+    telemetry::Span verifySpan("verify", "lir-verify");
+    if (!verifyModule(module, diags)) {
       diags.note(strfmt("IR verification failed after pass '%s'",
                         pass->name().c_str()));
       return false;
     }
+    verified = true;
   }
   return true;
 }

@@ -1,8 +1,13 @@
 // PassManager.h - a minimal pass pipeline for MiniLLVM modules.
 //
 // Passes mutate the module in place and report statistics; the pipeline
-// optionally re-verifies after each pass (on by default — the adaptor's
-// whole point is producing *valid* IR for a picky consumer).
+// optionally verifies the IR as it goes (on by default — the adaptor's
+// whole point is producing *valid* IR for a picky consumer). It verifies
+// each distinct IR state once: after the first pass, and after every pass
+// that reports a change. A pass that reports no change left the state
+// last verified, so verifying again could find nothing new (and the
+// verifier's renaming is idempotent). That makes a pass's `changed`
+// result load-bearing: it must be true whenever the pass touched the IR.
 //
 // Observability: the pipeline is instrumented. Every pass run is wrapped
 // in a telemetry span (category "lir-pass", so a Chrome trace shows the
@@ -40,7 +45,9 @@ class ModulePass {
 public:
   virtual ~ModulePass() = default;
   virtual std::string name() const = 0;
-  /// Returns true if the IR changed.
+  /// Returns true if the IR changed. Must be true for any edit, renames
+  /// included: the pass manager does not re-verify after a pass that
+  /// returns false, so an unreported edit goes unverified.
   virtual bool run(Module &module, PassStats &stats,
                    DiagnosticEngine &diags) = 0;
   /// Non-null when this pass processes functions independently and may be
@@ -59,7 +66,7 @@ public:
 /// touch other functions' bodies or module-level structure.
 class FunctionPass : public ModulePass {
 public:
-  /// Returns true if `fn` changed.
+  /// Returns true if `fn` changed (load-bearing, as for ModulePass::run).
   virtual bool runOnFunction(Function &fn, PassStats &stats,
                              DiagnosticEngine &diags) = 0;
 
@@ -158,6 +165,11 @@ void countModuleSize(const Module &module, int64_t &insts, int64_t &blocks);
 
 class PassManager {
 public:
+  /// With `verifyEach`, run() calls verifyModule after the first pass and
+  /// after every pass whose PassRunRecord::changed is true, each inside a
+  /// telemetry span ("verify", category "lir-verify"). Verification also
+  /// canonicalizes value names (see Verifier.h), so the printed IR depends
+  /// on this schedule. Without it, nothing is verified or renamed.
   explicit PassManager(bool verifyEach = true) : verifyEach_(verifyEach) {}
 
   void add(std::unique_ptr<ModulePass> pass) {
@@ -186,7 +198,8 @@ public:
   void setConcurrency(ThreadPool *pool) { pool_ = pool; }
 
   /// Runs every pass in order. Returns false if a pass errored or a
-  /// post-pass verification failed (remaining passes are skipped).
+  /// post-pass verification failed (remaining passes are skipped; the
+  /// diagnostics end with "IR verification failed after pass '<name>'").
   bool run(Module &module, DiagnosticEngine &diags);
 
   const std::vector<PassRunRecord> &records() const { return records_; }

@@ -144,6 +144,48 @@ join:
                 "does not dominate");
 }
 
+TEST(LirVerifier, NonPhiUsingItsOwnResult) {
+  expectInvalid(R"(
+define void @f(i32 %a) {
+entry:
+  %x = add i32 %x, %a
+  ret void
+}
+)",
+                "operand %x does not dominate use");
+}
+
+TEST(LirVerifier, NonPhiUsingItsOwnResultInSelfLoop) {
+  // The back edge makes %x live around the loop, but only a phi may carry
+  // a value from one iteration to the next.
+  expectInvalid(R"(
+define void @f(i32 %a, i1 %c) {
+entry:
+  br label %loop
+loop:
+  %x = add i32 %x, %a
+  br i1 %c, label %loop, label %exit
+exit:
+  ret void
+}
+)",
+                "operand %x does not dominate use");
+}
+
+TEST(LirVerifier, AcceptsPhiUsingItsOwnResult) {
+  expectValid(R"(
+define void @f(i1 %c) {
+entry:
+  br label %loop
+loop:
+  %p = phi i64 [ 0, %entry ], [ %p, %loop ]
+  br i1 %c, label %loop, label %exit
+exit:
+  ret void
+}
+)");
+}
+
 TEST(LirVerifier, TypedPointerPointeeMismatch) {
   expectInvalid(R"(
 define void @f(double* %p) {

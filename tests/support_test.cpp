@@ -1,6 +1,7 @@
 // Unit tests for the support library.
 #include "support/Arena.h"
 #include "support/Diagnostics.h"
+#include "support/FlatSet.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
@@ -16,6 +17,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <cwchar>
 
 using namespace mha;
@@ -500,4 +502,29 @@ TEST(Arena, InternerDeduplicatesStrings) {
   EXPECT_EQ(ia, "hello");
   EXPECT_EQ(ia.data(), ib.data()); // same storage
   EXPECT_NE(interner.intern("world").data(), ia.data());
+}
+
+TEST(FlatSet, FullSetOfAlignedPointersAndStrings) {
+  // Filled to the stated capacity with keys whose low bits are all equal
+  // (aligned addresses): every key is found, and no absent key is.
+  std::vector<double> storage(512);
+  FlatSet<const double *> pointers(256);
+  for (size_t i = 0; i < storage.size(); i += 2)
+    pointers.insert(&storage[i]);
+  for (size_t i = 0; i < storage.size(); ++i)
+    EXPECT_EQ(pointers.contains(&storage[i]), i % 2 == 0) << i;
+
+  std::vector<std::string> names;
+  for (int i = 0; i < 100; ++i)
+    names.push_back("v" + std::to_string(i));
+  FlatSet<std::string_view> views(names.size());
+  for (const std::string &name : names)
+    views.insert(name);
+  for (const std::string &name : names) {
+    std::string copy = name; // equal content at another address
+    EXPECT_TRUE(views.contains(copy)) << name;
+  }
+  EXPECT_FALSE(views.contains("v100"));
+  views.clear();
+  EXPECT_FALSE(views.contains("v0"));
 }

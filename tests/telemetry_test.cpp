@@ -1,6 +1,7 @@
 // Telemetry tests: spans and lanes, Chrome trace export, the statistic
 // registry, pass instrumentation hooks (lir and mir), --time-passes
-// aggregation, and the flow drivers' span integration.
+// aggregation, the lir verifier's schedule, and the flow drivers' span
+// integration.
 #include "support/Telemetry.h"
 
 #include "flow/Flow.h"
@@ -410,6 +411,91 @@ struct MirRecordingInstr : mir::MPassInstrumentation {
 };
 
 } // namespace
+
+namespace {
+
+/// The lir pass and verifier spans of the global trace in the order they
+/// finished, verifier spans as "verify": the pass manager's schedule.
+std::vector<std::string> passAndVerifySchedule() {
+  std::vector<std::string> schedule;
+  for (const TraceEvent &event : Tracer::global().events()) {
+    if (event.category == "lir-pass")
+      schedule.push_back(event.name);
+    else if (event.category == "lir-verify")
+      schedule.push_back("verify");
+  }
+  return schedule;
+}
+
+bool noChange(lir::Module &, lir::PassStats &, DiagnosticEngine &) {
+  return false;
+}
+
+} // namespace
+
+TEST(PassVerification, VerifiesFirstPassThenOnlyChangedStates) {
+  TracerGuard guard(/*enable=*/true);
+  Parsed p(kPromotableIR);
+  ASSERT_NE(p.module, nullptr);
+
+  lir::PassManager pm(/*verifyEach=*/true);
+  pm.add("noop-first", noChange);
+  pm.add("noop-again", noChange);
+  pm.add(lir::createMem2RegPass());
+  pm.add("noop-after-change", noChange);
+  pm.add(lir::createDCEPass());
+  DiagnosticEngine diags;
+  ASSERT_TRUE(pm.run(*p.module, diags)) << diags.str();
+
+  // The first pass is verified even though it changed nothing (the input
+  // was never verified); a no-change pass leaves the verified state as it
+  // was, so it is not verified again; every changing pass is.
+  std::vector<std::string> expected = {
+      "noop-first", "verify",            "noop-again", "mem2reg",
+      "verify",     "noop-after-change", "dce",        "verify"};
+  EXPECT_EQ(passAndVerifySchedule(), expected);
+}
+
+TEST(PassVerification, VerifyEachOffRecordsNoVerifierSpans) {
+  TracerGuard guard(/*enable=*/true);
+  Parsed p(kPromotableIR);
+  ASSERT_NE(p.module, nullptr);
+
+  lir::PassManager pm(/*verifyEach=*/false);
+  pm.add(lir::createMem2RegPass());
+  pm.add(lir::createDCEPass());
+  DiagnosticEngine diags;
+  ASSERT_TRUE(pm.run(*p.module, diags)) << diags.str();
+  std::vector<std::string> expected = {"mem2reg", "dce"};
+  EXPECT_EQ(passAndVerifySchedule(), expected);
+}
+
+TEST(PassVerification, BrokenIRFromAChangingPassStopsThePipeline) {
+  TracerGuard guard(/*enable=*/true);
+  Parsed p(kPromotableIR);
+  ASSERT_NE(p.module, nullptr);
+
+  lir::PassManager pm(/*verifyEach=*/true);
+  pm.add("noop-first", noChange);
+  pm.add("drop-terminator",
+         [](lir::Module &module, lir::PassStats &, DiagnosticEngine &) {
+           module.getFunction("f")->entry()->back()->eraseFromParent();
+           return true;
+         });
+  pm.add(lir::createDCEPass());
+  DiagnosticEngine diags;
+  EXPECT_FALSE(pm.run(*p.module, diags));
+  EXPECT_NE(diags.str().find("no terminator"), std::string::npos)
+      << diags.str();
+  EXPECT_NE(
+      diags.str().find("IR verification failed after pass 'drop-terminator'"),
+      std::string::npos)
+      << diags.str();
+  // The pipeline stops at the failed verification: dce never runs.
+  std::vector<std::string> expected = {"noop-first", "verify",
+                                       "drop-terminator", "verify"};
+  EXPECT_EQ(passAndVerifySchedule(), expected);
+}
 
 TEST(MirPassInstrumentation, HookOrderAndOpDelta) {
   TracerGuard guard(/*enable=*/false, /*timePasses=*/true);
