@@ -26,6 +26,10 @@ namespace mha::flow {
 
 namespace {
 
+telemetry::Statistic statMaterialized(
+    "flow.cache", "bridge.materialized",
+    "bridge-cache hits whose module was built");
+
 // --- Flow state and stage table -------------------------------------------
 
 /// Everything one flow run threads through its stages.
@@ -189,25 +193,21 @@ StageCache::Entry mlirEncode(FlowState &s) {
 
 // --- Stage 2: the flow-specific bridge to HLS-ready lir -----------------
 //
-// A hit replaces the whole leg with one lir parse (the module must live
-// for synthesis and co-simulation); one codec serves all three flows.
+// A hit replaces the whole leg with the cached lir text: the final module
+// is deferred (FinalModule) and parsed only when a synth miss or a reader
+// needs it, so a full warm hit builds no IR. One codec serves all three
+// flows.
 
 bool bridgeRestore(FlowState &s, StageCache::Entry &entry) {
   auto &cached = std::get<StageCache::BridgeEntry>(entry);
   FlowResult &r = s.result;
-  if (!substage(s, "bridge-cache-restore", [&] {
-        // The direct-LIR input module must die before the LContext it was
-        // built in — replacing ctx first would free the context under the
-        // live module (its destructor walks context-owned constants).
-        r.module.reset();
-        r.ctx = std::make_unique<lir::LContext>();
-        r.module = lir::parseModule(cached.lirText, *r.ctx, s.diags);
-        return r.module != nullptr;
-      }))
-    return false;
+  s.lirText = std::move(cached.lirText);
+  substage(s, "bridge-cache-restore", [&] {
+    r.module.defer(s.lirText);
+    return true;
+  });
   r.adaptorStats = std::move(cached.adaptorStats);
   r.hlsCpp = std::move(cached.hlsCpp);
-  s.lirText = std::move(cached.lirText);
   return true;
 }
 
@@ -257,10 +257,10 @@ bool adaptorBridgeRun(FlowState &s) {
            convert.add(mir::createCanonicalizePass());
            return convert.run(s.mirModule->get(), s.diags);
          }) && substage(s, "lower-to-lir", [&] {
-           r.ctx = std::make_unique<lir::LContext>();
-           r.module = lowering::lowerToLIR(s.mirModule->get(), *r.ctx,
-                                           s.options.lowering, s.diags);
-           return r.module != nullptr;
+           return r.module.build([&](lir::LContext &ctx) {
+             return lowering::lowerToLIR(s.mirModule->get(), ctx,
+                                         s.options.lowering, s.diags);
+           });
          }) && runAdaptorPipeline(s);
 }
 
@@ -271,9 +271,9 @@ bool hlsCppBridgeRun(FlowState &s) {
            r.hlsCpp = hlscpp::emitHlsCpp(s.mirModule->get(), s.diags);
            return !r.hlsCpp.empty();
          }) && substage(s, "hls-frontend", [&] {
-           r.ctx = std::make_unique<lir::LContext>();
-           r.module = hlscpp::parseHlsCpp(r.hlsCpp, *r.ctx, s.diags);
-           return r.module != nullptr;
+           return r.module.build([&](lir::LContext &ctx) {
+             return hlscpp::parseHlsCpp(r.hlsCpp, ctx, s.diags);
+           });
          });
 }
 
@@ -284,9 +284,9 @@ bool hlsCppBridgeRun(FlowState &s) {
 bool lirBridgePrepare(FlowState &s) {
   FlowResult &r = s.result;
   if (!substage(s, "parse-lir", [&] {
-        r.ctx = std::make_unique<lir::LContext>();
-        r.module = lir::parseModule(*s.lirInput, *r.ctx, s.diags);
-        return r.module != nullptr;
+        return r.module.build([&](lir::LContext &ctx) {
+          return lir::parseModule(*s.lirInput, ctx, s.diags);
+        });
       }))
     return false;
   std::string top = r.kernelName;
@@ -314,13 +314,21 @@ bool lirBridgePrepare(FlowState &s) {
 
 // --- Stage 3: virtual HLS ----------------------------------------------
 //
-// On a hit the module is left in its bridge state (backend unrolling
-// mutates in place but preserves semantics, so co-simulation is
+// A run synthesizes the final module in place, building it first after a
+// bridge hit (that parse is charged to the synth window). On a hit the
+// module is left in its bridge state, or still deferred (backend
+// unrolling mutates in place but preserves semantics, so co-simulation is
 // unaffected); only accepted reports are stored.
 
 bool synthRun(FlowState &s) {
-  lir::Module &module = s.synthModule ? *s.synthModule : *s.result.module;
-  s.result.synth = vhls::synthesize(module, s.synthOpts, s.diags);
+  lir::Module *module =
+      s.synthModule ? s.synthModule : s.result.module.get();
+  if (!module) {
+    s.diags.error("cannot build the cached bridge module: " +
+                  s.result.module.error());
+    return false;
+  }
+  s.result.synth = vhls::synthesize(*module, s.synthOpts, s.diags);
   return s.result.synth.accepted;
 }
 
@@ -420,6 +428,28 @@ FlowResult runStages(FlowState &s, std::string spanName,
 
 } // namespace
 
+void FinalModule::defer(std::string lirText) {
+  ir_.reset();
+  error_.clear();
+  pending_ = std::move(lirText);
+}
+
+lir::Module *FinalModule::get() const {
+  if (pending_) {
+    telemetry::Span span("materialize-lir", "flow-substage");
+    ++statMaterialized;
+    DiagnosticEngine diags;
+    ir_ = std::make_unique<IR>();
+    ir_->module = lir::parseModule(*pending_, ir_->ctx, diags);
+    pending_.reset();
+    if (!ir_->module) {
+      ir_.reset();
+      error_ = diags.str();
+    }
+  }
+  return ir_ ? ir_->module.get() : nullptr;
+}
+
 const char *flowKindName(FlowKind kind) {
   return kind == FlowKind::Adaptor ? "adaptor" : "hls-c++";
 }
@@ -488,7 +518,10 @@ bool cosimAgainstReference(const FlowResult &result, const KernelSpec &spec,
                            std::string &error) {
   lir::Function *top = result.topFunction();
   if (!top) {
-    error = "no top function in flow result";
+    error = result.module.error().empty()
+                ? "no top function in flow result"
+                : "cannot build the cached bridge module: " +
+                      result.module.error();
     return false;
   }
   // Seed identical inputs for device and host.

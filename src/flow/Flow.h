@@ -27,8 +27,10 @@
 #include "vhls/Vhls.h"
 
 #include <atomic>
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,11 +41,66 @@ enum class FlowKind { Adaptor, HlsCpp };
 /// Short human/JSON name for a flow kind ("adaptor" / "hls-c++").
 const char *flowKindName(FlowKind kind);
 
+/// Stage windows in milliseconds. After a bridge-cache hit whose synth
+/// stage misses, synthMs includes building the final module from the
+/// cached lir text (FinalModule's deferred parse runs inside the window).
 struct StageTimings {
   double mlirOptMs = 0;   // shared MLIR-level preparation (both flows)
   double bridgeMs = 0;    // scf-conversion+lowering+adaptor OR emission+frontend
   double synthMs = 0;     // virtual HLS
   double totalMs = 0;
+};
+
+/// The flow's final HLS IR: an lir::Module owned together with its
+/// LContext, read like a std::unique_ptr<lir::Module>. A bridge-cache hit
+/// installs only the cached lir text; the first access (get, *, ->, bool
+/// or nullptr comparison) parses it with the same parser the bridge's
+/// output round-trips through, so a module that is never read is never
+/// built. A failed deferred parse reads as nullptr and keeps its rendered
+/// diagnostics in error().
+///
+/// First access builds through `const`, so it is not thread-safe: one
+/// thread must make the first access before others read the handle.
+class FinalModule {
+public:
+  /// Replaces the held IR with the module `build(ctx)` returns for a fresh
+  /// context; false (and a null handle) when it returns nullptr.
+  template <typename Build> bool build(Build &&build) {
+    pending_.reset();
+    error_.clear();
+    ir_ = std::make_unique<IR>();
+    ir_->module = build(ir_->ctx);
+    if (!ir_->module)
+      ir_.reset();
+    return ir_ != nullptr;
+  }
+  /// Replaces the held IR with `lirText`, parsed on first access.
+  void defer(std::string lirText);
+
+  /// The module, built first if deferred; nullptr when there is none.
+  lir::Module *get() const;
+  lir::Module &operator*() const { return *get(); }
+  lir::Module *operator->() const { return get(); }
+  explicit operator bool() const { return get() != nullptr; }
+  friend bool operator==(const FinalModule &m, std::nullptr_t) { return !m; }
+  friend bool operator!=(const FinalModule &m, std::nullptr_t) {
+    return bool(m);
+  }
+
+  /// Rendered diagnostics of a failed deferred parse; empty otherwise.
+  const std::string &error() const { return error_; }
+
+private:
+  /// One allocation owns context and module; `module` is declared after
+  /// `ctx`, so every move-assignment and reset drops the module first
+  /// (~Module walks context-owned constants).
+  struct IR {
+    lir::LContext ctx;
+    std::unique_ptr<lir::Module> module;
+  };
+  mutable std::unique_ptr<IR> ir_;
+  mutable std::optional<std::string> pending_;
+  mutable std::string error_;
 };
 
 /// A named sub-stage measurement attributed to one of the three timing
@@ -75,9 +132,11 @@ struct FlowResult {
   std::string hlsCpp;          // baseline flow only: the emitted C++
   std::string diagnostics;     // rendered diagnostics (errors/warnings)
 
-  // Final HLS IR (kept alive with its context for co-simulation).
-  std::unique_ptr<lir::LContext> ctx;
-  std::unique_ptr<lir::Module> module;
+  /// Final HLS IR for co-simulation and callers. After a synth-stage run
+  /// it is the synthesized module; after a synth-cache hit it is in its
+  /// bridge state. Built on first access after a bridge-cache hit (see
+  /// FinalModule), so a full warm hit that nobody reads never parses.
+  FinalModule module;
 
   lir::Function *topFunction() const {
     return module ? module->getFunction(kernelName) : nullptr;

@@ -13,7 +13,9 @@
 //           value = printed mir module after the shared MLIR preparation
 //   Bridge  key = H(mir text, bridge options)   [per flow kind]
 //           value = BridgeEntry: printed lir module (+ adaptor stats /
-//           emitted C++)
+//           emitted C++). A hit installs the text, not a module: the
+//           flow's FinalModule parses it on first use (a synth miss or a
+//           reader such as cosim), so a full warm hit builds no IR.
 //   Synth   key = H(lir text, synthesis options)
 //           value = the SynthesisReport
 // Everything per stage inside the cache (map, LRU list, counters,

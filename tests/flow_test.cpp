@@ -3,6 +3,9 @@
 // produce comparable results (the paper's headline claim).
 #include "flow/Flow.h"
 #include "flow/StageCache.h"
+#include "lir/Parser.h"
+#include "lir/Printer.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -284,6 +287,15 @@ struct Observed {
   bool synthFromCache = false;
 };
 
+/// Runs `entry` on gemm (kernel entries) or multifn (direct-LIR entry).
+FlowResult runEntryWith(Entry entry, const FlowOptions &options) {
+  const KernelSpec &gemm = *findKernel("gemm");
+  return entry == Entry::Adaptor  ? runAdaptorFlow(gemm, {}, options)
+         : entry == Entry::HlsCpp ? runHlsCppFlow(gemm, {}, options)
+                                  : runLirAdaptorFlow(multifnText(),
+                                                      "multifn", options);
+}
+
 Observed runEntry(Entry entry, bool useStageCache, double clockPeriodNs) {
   Observed observed;
   FlowOptions options;
@@ -292,12 +304,7 @@ Observed runEntry(Entry entry, bool useStageCache, double clockPeriodNs) {
   options.onStage = [&](const char *stage) {
     observed.stages.push_back(stage);
   };
-  const KernelSpec &gemm = *findKernel("gemm");
-  FlowResult result =
-      entry == Entry::Adaptor  ? runAdaptorFlow(gemm, {}, options)
-      : entry == Entry::HlsCpp ? runHlsCppFlow(gemm, {}, options)
-                               : runLirAdaptorFlow(multifnText(), "multifn",
-                                                   options);
+  FlowResult result = runEntryWith(entry, options);
   EXPECT_TRUE(result.ok) << result.diagnostics;
   for (const StageSpan &span : result.spans)
     observed.spans.emplace_back(span.stage, span.name);
@@ -411,4 +418,146 @@ TEST(Flow, FailedAndCancelledRunsReportTotalTime) {
   EXPECT_GT(cancelled.timings.bridgeMs, 0);
   EXPECT_EQ(cancelled.timings.synthMs, 0);
   expectTotalCoversWindows(cancelled);
+}
+
+namespace {
+
+/// The "flow.cache" bridge.materialized statistic: bridge-cache hits whose
+/// deferred module was built.
+int64_t materialized() {
+  for (const telemetry::StatisticValue &v :
+       telemetry::statisticValues(/*includeZero=*/true))
+    if (v.group == "flow.cache" && v.name == "bridge.materialized")
+      return v.value;
+  ADD_FAILURE() << "flow.cache bridge.materialized is not registered";
+  return -1;
+}
+
+} // namespace
+
+// A bridge-cache hit defers the final module: a full warm hit builds no
+// IR, the first read builds exactly a fresh parse of the cached bridge
+// text, and a synth miss builds it once and synthesizes it in place, with
+// the same report as a cache-off run.
+TEST(Flow, BridgeHitBuildsFinalModuleOnlyWhenRead) {
+  for (Entry entry : {Entry::Adaptor, Entry::HlsCpp, Entry::Lir}) {
+    SCOPED_TRACE(entry == Entry::Adaptor  ? "adaptor"
+                 : entry == Entry::HlsCpp ? "hls-c++"
+                                          : "lir");
+    StageCache::global().clear();
+    FlowOptions cached;
+    cached.useStageCache = true;
+
+    // Prime the cache with a run cancelled before synthesis: its module is
+    // the bridge output, and printing it gives the stored text.
+    std::atomic<bool> cancel{false};
+    FlowOptions prime = cached;
+    prime.cancelFlag = &cancel;
+    prime.onStage = [&](const char *stage) {
+      cancel = std::string(stage) == "bridge"; // checked before synth
+    };
+    FlowResult primed = runEntryWith(entry, prime);
+    ASSERT_TRUE(primed.cancelled);
+    ASSERT_NE(primed.module, nullptr);
+    const std::string bridgeText = lir::printModule(*primed.module);
+    auto parseBridgeText = [&](lir::LContext &ctx) {
+      DiagnosticEngine diags;
+      std::unique_ptr<lir::Module> module =
+          lir::parseModule(bridgeText, ctx, diags);
+      EXPECT_NE(module, nullptr) << diags.str();
+      return module;
+    };
+
+    // Bridge hit, synth miss: the module is built once, to synthesize.
+    int64_t before = materialized();
+    FlowResult first = runEntryWith(entry, cached);
+    ASSERT_TRUE(first.ok) << first.diagnostics;
+    EXPECT_FALSE(first.synthFromCache);
+    EXPECT_EQ(materialized(), before + 1);
+
+    // Full warm hit: nothing reads the module, so nothing builds it.
+    before = materialized();
+    FlowResult warm = runEntryWith(entry, cached);
+    ASSERT_TRUE(warm.ok) << warm.diagnostics;
+    EXPECT_TRUE(warm.synthFromCache);
+    EXPECT_EQ(materialized(), before);
+
+    // First read: a fresh parse of the cached bridge text, built once.
+    lir::LContext freshCtx;
+    std::unique_ptr<lir::Module> fresh = parseBridgeText(freshCtx);
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_EQ(lir::printModule(*warm.module), lir::printModule(*fresh));
+    EXPECT_NE(warm.topFunction(), nullptr);
+    if (entry != Entry::Lir) {
+      std::string error;
+      EXPECT_TRUE(cosimAgainstReference(warm, *findKernel("gemm"), error))
+          << error;
+    }
+    EXPECT_EQ(materialized(), before + 1);
+
+    // Synth-only TargetSpec edit: built once, synthesized in place, and
+    // reported exactly like the cache-off twin.
+    FlowOptions edit = cached;
+    edit.synthesis.target.clockPeriodNs = 5.0;
+    before = materialized();
+    FlowResult edited = runEntryWith(entry, edit);
+    ASSERT_TRUE(edited.ok) << edited.diagnostics;
+    EXPECT_FALSE(edited.synthFromCache);
+    EXPECT_EQ(materialized(), before + 1);
+    FlowOptions twinOptions = edit;
+    twinOptions.useStageCache = false;
+    FlowResult twin = runEntryWith(entry, twinOptions);
+    ASSERT_TRUE(twin.ok) << twin.diagnostics;
+    EXPECT_EQ(edited.synth.json(), twin.synth.json());
+    lir::LContext editCtx;
+    std::unique_ptr<lir::Module> synthesized = parseBridgeText(editCtx);
+    ASSERT_NE(synthesized, nullptr);
+    vhls::SynthesisOptions synthOptions = edit.synthesis;
+    synthOptions.topFunction = edited.kernelName;
+    DiagnosticEngine diags;
+    EXPECT_TRUE(vhls::synthesize(*synthesized, synthOptions, diags).accepted)
+        << diags.str();
+    EXPECT_EQ(lir::printModule(*edited.module),
+              lir::printModule(*synthesized));
+    EXPECT_EQ(materialized(), before + 1);
+  }
+  StageCache::global().clear();
+}
+
+// A deferred module whose text does not parse (a corrupt cache entry) reads
+// as nullptr, keeps the parser's diagnostic, and co-simulation reports it.
+TEST(Flow, DeferredParseErrorIsKept) {
+  FlowResult result;
+  result.kernelName = "gemm";
+  result.module.defer("define void @gemm( {\n");
+  int64_t before = materialized();
+  EXPECT_EQ(result.module, nullptr);
+  EXPECT_FALSE(result.module);
+  EXPECT_EQ(result.topFunction(), nullptr);
+  EXPECT_NE(result.module.error().find("error"), std::string::npos)
+      << result.module.error();
+  std::string error;
+  EXPECT_FALSE(cosimAgainstReference(result, *findKernel("gemm"), error));
+  EXPECT_NE(error.find(result.module.error()), std::string::npos) << error;
+  EXPECT_EQ(error.find("no top function"), std::string::npos) << error;
+  // The parse runs once; later reads see the kept error.
+  EXPECT_EQ(materialized(), before + 1);
+}
+
+// Move-assigning a FlowResult over one that holds a module must destroy the
+// old module before its context (~Module walks context-owned constants);
+// the sanitizer jobs catch a use-after-free here.
+TEST(Flow, MoveAssignDropsOldModuleBeforeItsContext) {
+  const KernelSpec &gemm = *findKernel("gemm");
+  FlowResult a = runAdaptorFlow(gemm, {});
+  FlowResult b = runAdaptorFlow(gemm, {});
+  ASSERT_TRUE(a.ok && b.ok) << a.diagnostics << b.diagnostics;
+  const std::string expected = lir::printModule(*b.module);
+  a = std::move(b);
+  ASSERT_NE(a.module, nullptr);
+  EXPECT_EQ(lir::printModule(*a.module), expected);
+  std::string error;
+  EXPECT_TRUE(cosimAgainstReference(a, gemm, error)) << error;
+  a = FlowResult();
+  EXPECT_EQ(a.module, nullptr);
 }
