@@ -172,24 +172,4 @@ bool DesignSpace::contains(const flow::KernelConfig &config) const {
          pointKeys_.end();
 }
 
-std::vector<flow::KernelConfig>
-DesignSpace::neighbors(const flow::KernelConfig &config) const {
-  flow::KernelConfig self = canonicalize(config);
-  std::vector<flow::KernelConfig> out;
-  for (const flow::KernelConfig &candidate : points_) {
-    int differing = 0;
-    if (candidate.pipelineII != self.pipelineII)
-      ++differing;
-    if (candidate.unrollFactor != self.unrollFactor)
-      ++differing;
-    if (candidate.partitionFactor != self.partitionFactor)
-      ++differing;
-    if (candidate.dataflow != self.dataflow)
-      ++differing;
-    if (differing == 1)
-      out.push_back(candidate);
-  }
-  return out;
-}
-
 } // namespace mha::dse

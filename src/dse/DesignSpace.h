@@ -68,12 +68,6 @@ public:
   /// True when `config` canonicalizes to an enumerated point.
   bool contains(const flow::KernelConfig &config) const;
 
-  /// Enumerated points differing from canonicalize(config) in exactly one
-  /// knob (ii, unroll, partition, dataflow) — the greedy neighborhood.
-  /// Deterministic order (enumeration order).
-  std::vector<flow::KernelConfig>
-  neighbors(const flow::KernelConfig &config) const;
-
 private:
   const flow::KernelSpec *spec_;
   DesignSpaceOptions options_;

@@ -34,11 +34,9 @@ void appendPoint(std::string &out, const flow::KernelConfig &config,
 
 std::string DseResult::json() const {
   std::string out;
-  out += "{\n  \"schema\": \"mha.dse.v1\",\n";
+  out += "{\n  \"schema\": \"mha.dse.v2\",\n";
   out += strfmt("  \"kernel\": \"%s\",\n", json::escape(kernel).c_str());
   out += strfmt("  \"strategy\": \"%s\",\n", json::escape(strategy).c_str());
-  out += strfmt("  \"seed\": %llu,\n",
-                static_cast<unsigned long long>(seed));
   out += strfmt("  \"budget\": %zu,\n", budget);
   out += strfmt("  \"space_size\": %zu,\n", spaceSize);
   out += strfmt("  \"evaluated\": %zu,\n", evaluated);
@@ -85,15 +83,11 @@ std::optional<DseResult>
 runDse(const DesignSpace &space, Evaluator &evaluator,
        std::string_view strategyName, const StrategyOptions &options,
        const std::vector<Objective> &objectives) {
-  std::unique_ptr<SearchStrategy> strategy = createStrategy(strategyName);
-  if (!strategy)
-    return std::nullopt;
-
-  telemetry::Span span(strfmt("dse:%s:%s", strategy->name(),
+  const std::string name(strategyName);
+  telemetry::Span span(strfmt("dse:%s:%s", name.c_str(),
                               space.spec().name.c_str()),
                        "dse",
-                       {{"kernel", space.spec().name},
-                        {"strategy", strategy->name()}});
+                       {{"kernel", space.spec().name}, {"strategy", name}});
   ParetoArchive archive(objectives);
 
   // Warm start (--resume): re-seed the archive from every completed cache
@@ -110,22 +104,24 @@ runDse(const DesignSpace &space, Evaluator &evaluator,
     }
   }
 
-  StrategyResult search = strategy->run(space, evaluator, archive, options);
+  std::optional<StrategyResult> search =
+      runStrategy(strategyName, space, evaluator, archive, options);
+  if (!search)
+    return std::nullopt;
 
   DseResult result;
   result.kernel = space.spec().name;
-  result.strategy = search.strategy;
-  result.seed = options.seed;
+  result.strategy = name;
   result.budget = options.budget;
   result.spaceSize = space.size();
-  result.evaluated = search.evaluated;
-  result.estimated = search.estimated;
+  result.evaluated = search->evaluated;
+  result.estimated = search->estimated;
   result.warmStarted = warmStarted;
   result.synthRuns = evaluator.synthRuns();
   result.cacheHits = evaluator.cacheHits();
   result.cacheWaits = evaluator.cacheWaits();
   result.objectives = objectives;
-  result.visited = std::move(search.visited);
+  result.visited = std::move(search->visited);
   result.pareto = archive.entries();
 
   // Estimator accounting. The error statistics compare predictions

@@ -4,8 +4,8 @@
 //
 //   DesignSpace space(spec);                  // valid points
 //   Evaluator evaluator(spec);                // QoR cache + thread pool
-//   auto result = runDse(space, evaluator, "greedy", {});
-//   result->json();                           // schema "mha.dse.v1"
+//   auto result = runDse(space, evaluator, "refine", {});
+//   result->json();                           // schema "mha.dse.v2"
 //
 // The evaluator is passed in (not owned) so callers can pre-load a QoR
 // cache (--resume), run several strategies against one shared cache, and
@@ -40,7 +40,6 @@ struct EstimatorReport {
 struct DseResult {
   std::string kernel;
   std::string strategy;
-  uint64_t seed = 0;
   size_t budget = 0;     // 0 = unlimited
   size_t spaceSize = 0;
   size_t evaluated = 0;  // evaluator requests this run
@@ -54,12 +53,13 @@ struct DseResult {
   std::vector<VisitedPoint> visited; // strategy visit order
   std::vector<ArchiveEntry> pareto;  // deterministic archive order
 
-  /// Renders the run as JSON (schema "mha.dse.v1", stable key order).
+  /// Renders the run as JSON (schema "mha.dse.v2", stable key order).
   std::string json() const;
 };
 
-/// Runs `strategyName` over the space, feeding a fresh archive with the
-/// given objectives. With options.warmStart the archive is first
+/// Runs `strategyName` (see runStrategy) over the space, feeding a fresh
+/// archive with the given objectives. With options.warmStart the archive
+/// is first
 /// re-seeded from the evaluator's completed cache entries (parsed back
 /// through parseConfigKey and filtered to the space), so a --resume run
 /// starts from the previously discovered frontier instead of an empty

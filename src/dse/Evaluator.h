@@ -22,9 +22,9 @@
 // then pure arithmetic per point). Estimates never enter the QoR cache —
 // they are predictions, not measurements — but the probes are real
 // synthesis results and seed the cache (unless co-simulation is on, since
-// probes are not co-simulated). Estimator-guided strategies score whole
-// spaces through the fast path and promote only predicted-frontier points
-// to evaluate().
+// probes are not co-simulated). The refine strategy scores whole spaces
+// through the fast path and promotes only the points its slack rule keeps
+// to evaluateAll().
 #pragma once
 
 #include "dse/DesignSpace.h"

@@ -4,13 +4,12 @@
 // worse on every objective and strictly better on at least one; the
 // archive keeps exactly the non-dominated set, including distinct configs
 // whose objective vectors tie (the classic frontier definition — a tied
-// design is not "strictly better" and must survive, matching the
-// original exhaustive-sweep example).
+// design is not "strictly better" and must survive).
 //
 // Determinism: entries() is kept sorted by (objective vector, config key),
 // so the archive's contents and order are independent of evaluation and
-// insertion order — a seeded random search and an exhaustive sweep that
-// visit the same points report the same archive.
+// insertion order — two searches that visit the same points in different
+// orders report the same archive.
 #pragma once
 
 #include "dse/Evaluator.h"

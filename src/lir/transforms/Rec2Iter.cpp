@@ -137,9 +137,16 @@ private:
     // --- 2. Frame slots: one [depth x T] array per demoted value.
     BasicBlock *prologue = fn->createBlockBefore(bodyEntry, "rec.prologue");
     b.setInsertPoint(prologue);
+    // Lookups go through the map; walks go through `slotOrder`, which
+    // keeps creation order (arguments, then body values in block order)
+    // so the rewrite never depends on heap addresses.
     std::map<Value *, Instruction *> slots; // value -> its slot alloca
+    std::vector<std::pair<Value *, Instruction *>> slotOrder;
     auto makeSlot = [&](Value *v, const std::string &name) {
-      slots[v] = b.createAlloca(ctx.arrayTy(v->type(), depth), name);
+      Instruction *slot =
+          b.createAlloca(ctx.arrayTy(v->type(), depth), name);
+      slots[v] = slot;
+      slotOrder.emplace_back(v, slot);
     };
     for (unsigned i = 0; i < fn->numArgs(); ++i)
       makeSlot(fn->arg(i), "rec.arg" + std::to_string(i));
@@ -202,7 +209,7 @@ private:
     // its slot just before the user. A value's own def-store keeps the
     // direct operand (that is the one live register); phi operands are
     // left alone (the phis are erased next).
-    for (auto &[value, slot] : slots) {
+    for (auto &[value, slot] : slotOrder) {
       std::vector<Use *> uses(value->uses().begin(), value->uses().end());
       for (Use *use : uses) {
         auto *user = dyn_cast<Instruction>(use->user());

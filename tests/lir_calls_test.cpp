@@ -239,6 +239,139 @@ TEST(Rec2Iter, FactorialRewriteIsInterpEquivalent) {
   EXPECT_EQ(p.interp("fact", {10}), 3628800);
 }
 
+// The use-rewriting walks slots in creation order (arguments, then body
+// values in block order), so `mul %n, %r` reloads the argument before the
+// call result. Walking them in pointer order made this output depend on
+// heap addresses.
+TEST(Rec2Iter, FactorialRewritePrintsInSlotCreationOrder) {
+  Parsed p(kFactorialModule);
+  p.runPass(createRec2IterPass());
+  EXPECT_EQ(p.print(), R"(!flag opaque-pointers = "false"
+
+define i64 @fact(i64 %n) #[norecurse] {
+rec.prologue:
+  %rec.arg0 = alloca [64 x i64]
+  %rec.v = alloca [64 x i1]
+  %rec.v.1 = alloca [64 x i64]
+  %rec.v.2 = alloca [64 x i64]
+  %rec.v.3 = alloca [64 x i64]
+  %rec.sp = alloca i64
+  %rec.state = alloca [64 x i32]
+  %rec.ret = alloca i64
+  store i64 0, i64* %rec.sp
+  %sp = load i64, i64* %rec.sp
+  %0 = getelementptr [64 x i64], [64 x i64]* %rec.arg0, i64 0, i64 %sp
+  store i64 %n, i64* %0
+  %sp.1 = load i64, i64* %rec.sp
+  %1 = getelementptr [64 x i32], [64 x i32]* %rec.state, i64 0, i64 %sp.1
+  store i32 0, i32* %1
+  br label %rec.dispatch
+
+entry:
+  %sp.2 = load i64, i64* %rec.sp
+  %2 = getelementptr [64 x i64], [64 x i64]* %rec.arg0, i64 0, i64 %sp.2
+  %rec.use = load i64, i64* %2
+  %cmp = icmp sle i64 %rec.use, 1
+  %sp.3 = load i64, i64* %rec.sp
+  %3 = getelementptr [64 x i1], [64 x i1]* %rec.v, i64 0, i64 %sp.3
+  store i1 %cmp, i1* %3
+  %sp.4 = load i64, i64* %rec.sp
+  %4 = getelementptr [64 x i1], [64 x i1]* %rec.v, i64 0, i64 %sp.4
+  %rec.use.1 = load i1, i1* %4
+  br i1 %rec.use.1, label %base, label %rec
+
+rec:
+  %sp.5 = load i64, i64* %rec.sp
+  %5 = getelementptr [64 x i64], [64 x i64]* %rec.arg0, i64 0, i64 %sp.5
+  %rec.use.2 = load i64, i64* %5
+  %n1 = sub i64 %rec.use.2, 1
+  %sp.6 = load i64, i64* %rec.sp
+  %6 = getelementptr [64 x i64], [64 x i64]* %rec.v.1, i64 0, i64 %sp.6
+  store i64 %n1, i64* %6
+  br label %push
+
+push:
+  %sp.7 = load i64, i64* %rec.sp
+  %7 = getelementptr [64 x i64], [64 x i64]* %rec.v.1, i64 0, i64 %sp.7
+  %rec.use.3 = load i64, i64* %7
+  %sp.8 = load i64, i64* %rec.sp
+  %sp1 = add i64 %sp.8, 1
+  %over = icmp sge i64 %sp1, 64
+  br i1 %over, label %rec.overflow, label %rec.dopush1
+
+resume:
+  %sp.9 = load i64, i64* %rec.sp
+  %8 = getelementptr [64 x i64], [64 x i64]* %rec.arg0, i64 0, i64 %sp.9
+  %rec.use.4 = load i64, i64* %8
+  %sp.10 = load i64, i64* %rec.sp
+  %9 = getelementptr [64 x i64], [64 x i64]* %rec.v.2, i64 0, i64 %sp.10
+  %rec.use.5 = load i64, i64* %9
+  %v = mul i64 %rec.use.4, %rec.use.5
+  %sp.11 = load i64, i64* %rec.sp
+  %10 = getelementptr [64 x i64], [64 x i64]* %rec.v.3, i64 0, i64 %sp.11
+  store i64 %v, i64* %10
+  %sp.12 = load i64, i64* %rec.sp
+  %11 = getelementptr [64 x i64], [64 x i64]* %rec.v.3, i64 0, i64 %sp.12
+  %rec.use.6 = load i64, i64* %11
+  store i64 %rec.use.6, i64* %rec.ret
+  %sp.13 = load i64, i64* %rec.sp
+  %12 = sub i64 %sp.13, 1
+  store i64 %12, i64* %rec.sp
+  br label %rec.dispatch
+
+base:
+  store i64 1, i64* %rec.ret
+  %sp.14 = load i64, i64* %rec.sp
+  %13 = sub i64 %sp.14, 1
+  store i64 %13, i64* %rec.sp
+  br label %rec.dispatch
+
+rec.dispatch:
+  %sp.15 = load i64, i64* %rec.sp
+  %done = icmp slt i64 %sp.15, 0
+  br i1 %done, label %rec.exit, label %rec.state0
+
+rec.exit:
+  %rec.result = load i64, i64* %rec.ret
+  ret i64 %rec.result
+
+rec.overflow:
+  unreachable
+
+rec.state0:
+  %sp.16 = load i64, i64* %rec.sp
+  %14 = getelementptr [64 x i32], [64 x i32]* %rec.state, i64 0, i64 %sp.16
+  %state = load i32, i32* %14
+  %is.k = icmp eq i32 %state, 1
+  br i1 %is.k, label %rec.resume1, label %entry
+
+rec.resume1:
+  %rec.child = load i64, i64* %rec.ret
+  %sp.17 = load i64, i64* %rec.sp
+  %15 = getelementptr [64 x i64], [64 x i64]* %rec.v.2, i64 0, i64 %sp.17
+  store i64 %rec.child, i64* %15
+  br label %resume
+
+rec.dopush1:
+  %sp.18 = load i64, i64* %rec.sp
+  %16 = getelementptr [64 x i32], [64 x i32]* %rec.state, i64 0, i64 %sp.18
+  store i32 1, i32* %16
+  %sp.19 = load i64, i64* %rec.sp
+  %17 = add i64 %sp.19, 1
+  %18 = getelementptr [64 x i64], [64 x i64]* %rec.arg0, i64 0, i64 %17
+  store i64 %rec.use.3, i64* %18
+  %sp.20 = load i64, i64* %rec.sp
+  %19 = add i64 %sp.20, 1
+  %20 = getelementptr [64 x i32], [64 x i32]* %rec.state, i64 0, i64 %19
+  store i32 0, i32* %20
+  %sp.21 = load i64, i64* %rec.sp
+  %21 = add i64 %sp.21, 1
+  store i64 %21, i64* %rec.sp
+  br label %rec.dispatch
+}
+)");
+}
+
 TEST(Rec2Iter, FibWithDepthAttributeIsInterpEquivalent) {
   Parsed p(kFibModule);
   std::vector<int64_t> before;

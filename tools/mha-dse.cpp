@@ -1,9 +1,8 @@
 // mha-dse - design-space exploration over the adaptor flow.
 //
-//   mha-dse --kernel=NAME
-//           [--strategy=exhaustive|random|greedy|refine|genetic|anneal]
+//   mha-dse --kernel=NAME [--strategy=exhaustive|refine]
 //           [--budget=N] [--estimate-budget=N] [--estimate-only]
-//           [--seed=N] [--threads=N] [--cosim]
+//           [--threads=N] [--cosim]
 //           [--ii=0,1,2] [--unroll=1,2,4,8] [--partition=1,2,4,8]
 //           [--no-dataflow] [--json=out.json] [--cache=qor.json]
 //           [--resume] [--chrome-trace=out.json] [--stats]
@@ -18,14 +17,15 @@
 // --resume pre-loads it, re-seeds the Pareto archive from the cached
 // points, and skips synthesis for every point already measured.
 //
-// The refine/genetic/anneal strategies are estimator-guided: they score
-// candidates with the analytical QoR estimator (two probe synthesis runs,
-// then arithmetic) and only synthesize predicted-frontier points;
-// --estimate-budget caps the analytical work and --estimate-only skips
-// promotion synthesis entirely (the archive then holds predictions). Every
-// run reports the estimator's measured error against its synthesized
-// points, on stdout and in the JSON. --json=FILE writes the run (visited
-// points + Pareto archive, schema "mha.dse.v1"); --chrome-trace/--stats
+// The refine strategy is estimator-guided: it scores every point with the
+// analytical QoR estimator (two probe synthesis runs, then arithmetic)
+// and synthesizes only the points its slack rule cannot rule off the
+// frontier; --estimate-budget caps the analytical work. --estimate-only
+// (either strategy) skips synthesis beyond the probes entirely (the
+// archive then holds predictions). Every run reports the estimator's
+// measured error against its synthesized points, on stdout and in the
+// JSON. --json=FILE writes the run (visited points + Pareto archive,
+// schema "mha.dse.v2"); --chrome-trace/--stats
 // expose the telemetry layer like the other tools. Exit status 0 iff
 // every visited point synthesized (and co-simulated, with --cosim).
 #include "ObservabilityCli.h"
@@ -35,6 +35,7 @@
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -45,11 +46,9 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: mha-dse --kernel=NAME\n"
-      "               [--strategy=exhaustive|random|greedy|refine|genetic|"
-      "anneal]\n"
+      "usage: mha-dse --kernel=NAME [--strategy=exhaustive|refine]\n"
       "               [--budget=N] [--estimate-budget=N] [--estimate-only]\n"
-      "               [--seed=N] [--threads=N] [--cosim]\n"
+      "               [--threads=N] [--cosim]\n"
       "               [--ii=0,1,2] [--unroll=1,2,4,8] [--partition=1,2,4,8]\n"
       "               [--no-dataflow] [--json=out.json] [--cache=qor.json]\n"
       "               [--resume] [--chrome-trace=out.json] [--stats]\n"
@@ -108,7 +107,7 @@ int main(int argc, char **argv) {
   std::string jsonPath, cachePath, chromeTracePath;
   bool resume = false, cosim = false, statsFlag = false;
   bool estimateOnly = false;
-  int64_t budget = 0, estimateBudget = 0, seed = 0, threads = 0;
+  int64_t budget = 0, estimateBudget = 0, threads = 0;
   dse::DesignSpaceOptions spaceOptions;
 
   obscli::Options obsOptions;
@@ -131,10 +130,7 @@ int main(int argc, char **argv) {
         return usage();
     } else if (arg == "--estimate-only")
       estimateOnly = true;
-    else if (startsWith(arg, "--seed=")) {
-      if (!parseNumericFlag(arg, 7, "--seed", 0, INT64_MAX, seed))
-        return usage();
-    } else if (startsWith(arg, "--threads=")) {
+    else if (startsWith(arg, "--threads=")) {
       if (!parseNumericFlag(arg, 10, "--threads", 0, 4096, threads))
         return usage();
     } else if (startsWith(arg, "--ii=")) {
@@ -203,10 +199,10 @@ int main(int argc, char **argv) {
     }
     return 2;
   }
-  if (!dse::createStrategy(strategyName)) {
-    std::string names = joinStrings(dse::strategyNames(), ", ");
+  const std::vector<std::string> &names = dse::strategyNames();
+  if (std::find(names.begin(), names.end(), strategyName) == names.end()) {
     std::fprintf(stderr, "unknown strategy '%s' (available: %s)\n",
-                 strategyName.c_str(), names.c_str());
+                 strategyName.c_str(), joinStrings(names, ", ").c_str());
     return 2;
   }
   if (resume && cachePath.empty()) {
@@ -246,7 +242,6 @@ int main(int argc, char **argv) {
   dse::StrategyOptions searchOptions;
   searchOptions.budget = static_cast<size_t>(budget);
   searchOptions.estimateBudget = static_cast<size_t>(estimateBudget);
-  searchOptions.seed = static_cast<uint64_t>(seed);
   searchOptions.estimateOnly = estimateOnly;
   searchOptions.warmStart = resume;
 
@@ -263,8 +258,8 @@ int main(int argc, char **argv) {
               {"points", strfmt("%zu", space.size())}});
   std::optional<dse::DseResult> result =
       dse::runDse(space, evaluator, strategyName, searchOptions);
-  if (!result) { // createStrategy already vetted the name
-    std::fprintf(stderr, "strategy construction failed\n");
+  if (!result) { // the name was checked against strategyNames() above
+    std::fprintf(stderr, "unknown strategy '%s'\n", strategyName.c_str());
     return 1;
   }
   elog::info("dse", "exploration finished",
