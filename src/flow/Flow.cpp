@@ -47,7 +47,10 @@ struct FlowState {
   /// Stage-1 module; empty after an mlir hit until a bridge run reparses.
   std::optional<mir::OwnedModule> mirModule;
   std::string mirText; // stage-1 output text (cache on)
-  std::string lirText; // bridge output text; addresses synth
+  std::string lirText; // bridge output text; addresses synth and graph
+  bool bridgeHit = false; // lirText was served from the StageCache
+  /// The elaborated final module (graph stage), scheduled by synth.
+  StageCache::GraphPtr graph;
   adaptor::AdaptorOptions adaptorOpts = options.adaptor;
   vhls::SynthesisOptions synthOpts = options.synthesis;
   /// Synthesized instead of result.module when set (synthesizeCached).
@@ -69,12 +72,16 @@ struct StageDef {
   /// Cache codec: installs a hit (false = failed) / encodes a fresh run.
   bool (*restore)(FlowState &, StageCache::Entry &);
   StageCache::Entry (*encode)(FlowState &);
+  /// Optional admission test for a fresh run's output (null: store all).
+  bool (*admit)(FlowState &) = nullptr;
 };
+
+bool runStage(FlowState &s, const StageDef &stage);
 
 /// Executor tables indexed by StageCache::Stage: the stage's name (the
 /// onStage argument and flow-stage span), its StageTimings window, and the
 /// FlowResult span covering the whole window (the bridge records its legs
-/// instead).
+/// instead). The graph stage runs inside synth's window and has no entry.
 const char *const kStageNames[] = {"mlirOpt", "bridge", "synth"};
 double StageTimings::*const kWindows[] = {
     &StageTimings::mlirOptMs, &StageTimings::bridgeMs, &StageTimings::synthMs};
@@ -201,6 +208,7 @@ StageCache::Entry mlirEncode(FlowState &s) {
 bool bridgeRestore(FlowState &s, StageCache::Entry &entry) {
   auto &cached = std::get<StageCache::BridgeEntry>(entry);
   FlowResult &r = s.result;
+  s.bridgeHit = true;
   s.lirText = std::move(cached.lirText);
   substage(s, "bridge-cache-restore", [&] {
     r.module.defer(s.lirText);
@@ -314,13 +322,21 @@ bool lirBridgePrepare(FlowState &s) {
 
 // --- Stage 3: virtual HLS ----------------------------------------------
 //
-// A run synthesizes the final module in place, building it first after a
-// bridge hit (that parse is charged to the synth window). On a hit the
-// module is left in its bridge state, or still deferred (backend
-// unrolling mutates in place but preserves semantics, so co-simulation is
-// unaffected); only accepted reports are stored.
+// A run schedules the final module's ScheduleGraph, which is a stage of
+// its own (Graph), looked up only on a synth miss. A graph run elaborates
+// the module in place (acceptance check plus backend unroll), building it
+// first after a bridge hit, a parse charged to the synth window. A graph
+// hit replays the elaboration's diagnostics and leaves a deferred module
+// deferred: it is parsed and unrolled only if read, so a synth-only
+// TargetSpec edit costs one schedule. A graph is stored only when the
+// bridge text itself came from the cache, that is when a design is
+// synthesized again under another target: a design synthesized once never
+// pays for a graph (1.5-2 times the bytes of its bridge text), and its
+// first edit pays one elaboration. On a synth hit the module is left in its bridge state,
+// or still deferred (backend unrolling preserves semantics, so
+// co-simulation is unaffected); only accepted reports are stored.
 
-bool synthRun(FlowState &s) {
+bool graphRun(FlowState &s) {
   lir::Module *module =
       s.synthModule ? s.synthModule : s.result.module.get();
   if (!module) {
@@ -328,7 +344,45 @@ bool synthRun(FlowState &s) {
                   s.result.module.error());
     return false;
   }
-  s.result.synth = vhls::synthesize(*module, s.synthOpts, s.diags);
+  telemetry::Span span("vhls-elaborate", "flow-substage");
+  s.graph = std::make_shared<const vhls::ScheduleGraph>(vhls::elaborate(
+      *module, s.synthOpts.applyUnrollDirectives, s.diags));
+  return true;
+}
+
+bool graphRestore(FlowState &s, StageCache::Entry &entry) {
+  s.graph = std::get<StageCache::GraphPtr>(std::move(entry));
+  for (const Diagnostic &diag : s.graph->diagnostics)
+    s.diags.report(diag);
+  if (!s.synthModule && s.synthOpts.applyUnrollDirectives &&
+      s.graph->compat.accepted)
+    s.result.module.unrollByDirectives();
+  return true;
+}
+
+const StageDef kGraphStage{
+    StageCache::Stage::Graph, nullptr,
+    [](FlowState &s) {
+      metrics::Timer timer(StageCache::keyHistogram());
+      return HashBuilder()
+          .str("graph")
+          .str(s.lirText)
+          .boolean(s.synthOpts.applyUnrollDirectives)
+          .get();
+    },
+    graphRun, graphRestore,
+    // A copy, so that every array of a long-lived graph is sized exactly.
+    [](FlowState &s) {
+      return StageCache::Entry(
+          std::make_shared<const vhls::ScheduleGraph>(*s.graph));
+    },
+    [](FlowState &s) { return s.bridgeHit; }};
+
+bool synthRun(FlowState &s) {
+  if (!runStage(s, kGraphStage))
+    return false;
+  telemetry::Span span("vhls-schedule", "flow-substage");
+  s.result.synth = vhls::schedule(*s.graph, s.synthOpts);
   return s.result.synth.accepted;
 }
 
@@ -383,7 +437,7 @@ bool runStage(FlowState &s, const StageDef &stage) {
   }
   if (!stage.run(s))
     return false;
-  if (cached)
+  if (cached && (!stage.admit || stage.admit(s)))
     StageCache::global().store(key, stage.encode(s));
   return true;
 }
@@ -431,7 +485,15 @@ FlowResult runStages(FlowState &s, std::string spanName,
 void FinalModule::defer(std::string lirText) {
   ir_.reset();
   error_.clear();
+  unrollPending_ = false;
   pending_ = std::move(lirText);
+}
+
+void FinalModule::unrollByDirectives() {
+  if (pending_)
+    unrollPending_ = true;
+  else if (ir_)
+    vhls::unrollByDirectives(*ir_->module);
 }
 
 lir::Module *FinalModule::get() const {
@@ -445,7 +507,10 @@ lir::Module *FinalModule::get() const {
     if (!ir_->module) {
       ir_.reset();
       error_ = diags.str();
+    } else if (unrollPending_) {
+      vhls::unrollByDirectives(*ir_->module);
     }
+    unrollPending_ = false;
   }
   return ir_ ? ir_->module.get() : nullptr;
 }

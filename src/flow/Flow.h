@@ -6,8 +6,9 @@
 //     C frontend (+O2-lite) -> HLS IR -> virtual HLS
 //   Direct-LIR entry:            lir text -> HLS Adaptor -> virtual HLS
 //
-// Each flow is a short list of stages — mlirOpt, bridge, synth — run by
-// one executor (Flow.cpp). A stage supplies three things: an input-key
+// Each flow is a short list of stages — mlirOpt, bridge, synth (which
+// looks up its ScheduleGraph as a nested fourth stage) — run by one
+// executor (Flow.cpp). A stage supplies three things: an input-key
 // function, a run function that fills the FlowResult, and a codec that
 // restores or encodes its StageCache entry. The executor alone owns the
 // cancellation/onStage gate, the "flow-stage" telemetry span and the
@@ -42,8 +43,9 @@ enum class FlowKind { Adaptor, HlsCpp };
 const char *flowKindName(FlowKind kind);
 
 /// Stage windows in milliseconds. After a bridge-cache hit whose synth
-/// stage misses, synthMs includes building the final module from the
-/// cached lir text (FinalModule's deferred parse runs inside the window).
+/// and graph stages both miss, synthMs includes building the final module
+/// from the cached lir text (FinalModule's deferred parse runs inside the
+/// window).
 struct StageTimings {
   double mlirOptMs = 0;   // shared MLIR-level preparation (both flows)
   double bridgeMs = 0;    // scf-conversion+lowering+adaptor OR emission+frontend
@@ -57,7 +59,8 @@ struct StageTimings {
 /// or nullptr comparison) parses it with the same parser the bridge's
 /// output round-trips through, so a module that is never read is never
 /// built. A failed deferred parse reads as nullptr and keeps its rendered
-/// diagnostics in error().
+/// diagnostics in error(). unrollByDirectives() brings a deferred module
+/// to the state synthesis leaves it in, also on first access.
 ///
 /// First access builds through `const`, so it is not thread-safe: one
 /// thread must make the first access before others read the handle.
@@ -67,6 +70,7 @@ public:
   /// context; false (and a null handle) when it returns nullptr.
   template <typename Build> bool build(Build &&build) {
     pending_.reset();
+    unrollPending_ = false;
     error_.clear();
     ir_ = std::make_unique<IR>();
     ir_->module = build(ir_->ctx);
@@ -76,6 +80,9 @@ public:
   }
   /// Replaces the held IR with `lirText`, parsed on first access.
   void defer(std::string lirText);
+  /// Applies the module's xlx.unroll directives (vhls::unrollByDirectives):
+  /// now when it is built, else right after its deferred parse.
+  void unrollByDirectives();
 
   /// The module, built first if deferred; nullptr when there is none.
   lir::Module *get() const;
@@ -100,6 +107,7 @@ private:
   };
   mutable std::unique_ptr<IR> ir_;
   mutable std::optional<std::string> pending_;
+  mutable bool unrollPending_ = false;
   mutable std::string error_;
 };
 
@@ -133,9 +141,12 @@ struct FlowResult {
   std::string diagnostics;     // rendered diagnostics (errors/warnings)
 
   /// Final HLS IR for co-simulation and callers. After a synth-stage run
-  /// it is the synthesized module; after a synth-cache hit it is in its
-  /// bridge state. Built on first access after a bridge-cache hit (see
-  /// FinalModule), so a full warm hit that nobody reads never parses.
+  /// it is the synthesized (backend-unrolled) module; after a synth-cache
+  /// hit it is in its bridge state. Built on first access after a
+  /// bridge-cache hit (see FinalModule), so a full warm hit that nobody
+  /// reads never parses, and neither does a synth-only TargetSpec edit
+  /// served from the cached ScheduleGraph: that run leaves the module
+  /// deferred, to be parsed and unrolled on first read.
   FinalModule module;
 
   lir::Function *topFunction() const {
@@ -202,7 +213,9 @@ FlowResult runLirAdaptorFlow(const std::string &lirText,
 /// The flows' synth stage alone, StageCache round trip included: virtual
 /// HLS of `module`, served from the cache when `useStageCache` is set and
 /// an accepted report is stored under the module's printed text and
-/// `options`. Lets the fuzz oracle share the flows' synth entries.
+/// `options` (or rescheduled from a ScheduleGraph a flow cached). Lets the
+/// fuzz oracle share the flows' synth entries. A cache hit of either kind
+/// leaves `module` as it was given.
 vhls::SynthesisReport synthesizeCached(lir::Module &module,
                                        const vhls::SynthesisOptions &options,
                                        bool useStageCache,

@@ -38,7 +38,12 @@ StageInfo stageInfo[kStages] = {
      {"flow.cache", "synth.hit", "synthesis-stage cache hits"},
      {"flow.cache", "synth.miss", "synthesis-stage cache misses"},
      &Counters::synthHits, &Counters::synthMisses, &Counters::synthBytes,
-     &Counters::synthEvictions}};
+     &Counters::synthEvictions},
+    {"graph",
+     {"flow.cache", "graph.hit", "schedule-graph cache hits"},
+     {"flow.cache", "graph.miss", "schedule-graph cache misses"},
+     &Counters::graphHits, &Counters::graphMisses, &Counters::graphBytes,
+     &Counters::graphEvictions}};
 telemetry::Statistic statEvicted("flow.cache", "evicted",
                                  "stage-cache entries evicted (LRU)");
 
@@ -48,9 +53,9 @@ telemetry::Statistic statEvicted("flow.cache", "evicted",
 constexpr size_t kMaxEntriesPerStage = 4096;
 
 /// Structural payload size of a cached value: strings at their length,
-/// report structures via sizeof plus owned string/vector payloads. An
-/// approximation (malloc slack and map-node overhead are not counted) but
-/// a consistent one: store/evict adjustments always agree.
+/// report and graph structures via sizeof plus owned string/vector
+/// payloads. An approximation (malloc slack and map-node overhead are not
+/// counted) but a consistent one: store/evict adjustments always agree.
 int64_t payloadBytes(const std::string &text) {
   return static_cast<int64_t>(text.size());
 }
@@ -75,6 +80,36 @@ int64_t payloadBytes(const vhls::SynthesisReport &report) {
     for (const vhls::ArrayReport &array : fn.arrays)
       n += static_cast<int64_t>(sizeof(array) + array.name.size() +
                                 array.partition.size());
+  }
+  return n;
+}
+
+template <typename T> int64_t arrayBytes(const std::vector<T> &v) {
+  return static_cast<int64_t>(v.size() * sizeof(T));
+}
+
+int64_t payloadBytes(const StageCache::GraphPtr &graph) {
+  int64_t n = static_cast<int64_t>(sizeof(*graph)) +
+              arrayBytes(graph->kinds) + arrayBytes(graph->fuClasses) +
+              arrayBytes(graph->functions);
+  for (const auto &[name, value] : graph->compat.violations)
+    n += static_cast<int64_t>(name.size() + sizeof(value));
+  for (const Diagnostic &diag : graph->diagnostics)
+    n += static_cast<int64_t>(sizeof(diag) + diag.message.size());
+  for (const std::string &fuClass : graph->fuClasses)
+    n += static_cast<int64_t>(fuClass.size());
+  for (const vhls::ScheduleGraph::Function &fn : graph->functions) {
+    n += static_cast<int64_t>(fn.name.size()) + arrayBytes(fn.ops) +
+         arrayBytes(fn.operands) + arrayBytes(fn.blocks) +
+         arrayBytes(fn.rpo) + arrayBytes(fn.banks) + arrayBytes(fn.loops) +
+         arrayBytes(fn.topLoops) + arrayBytes(fn.fuCostKind) +
+         arrayBytes(fn.arrays);
+    for (const vhls::ScheduleGraph::Loop &loop : fn.loops)
+      n += static_cast<int64_t>(loop.name.size() + loop.note.size()) +
+           arrayBytes(loop.blocks) + arrayBytes(loop.subLoops) +
+           arrayBytes(loop.deps) + arrayBytes(loop.edges);
+    for (const vhls::ArrayReport &array : fn.arrays)
+      n += static_cast<int64_t>(array.name.size() + array.partition.size());
   }
   return n;
 }

@@ -18,6 +18,12 @@
 //           reader such as cosim), so a full warm hit builds no IR.
 //   Synth   key = H(lir text, synthesis options)
 //           value = the SynthesisReport
+//   Graph   key = H(lir text, applyUnrollDirectives)
+//           value = the module's vhls::ScheduleGraph, shared and
+//           immutable: a hit copies a pointer. Consulted only on a synth
+//           miss, so a TargetSpec edit reschedules the cached graph with
+//           no parse and no unroll while a full warm hit never touches it.
+//           Stored only after a bridge hit (a design synthesized again).
 // Everything per stage inside the cache (map, LRU list, counters,
 // statistics, metrics) is an array indexed by Stage. The typed
 // lookupX/storeX wrappers and the named Counters fields are the stable
@@ -45,6 +51,7 @@
 #include "vhls/Vhls.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <variant>
 
@@ -59,7 +66,7 @@ public:
   /// The shared process-wide instance every flow uses.
   static StageCache &global();
 
-  enum class Stage { Mlir, Bridge, Synth };
+  enum class Stage { Mlir, Bridge, Synth, Graph };
 
   /// Bridge-stage output: the flow-specific leg from mir text to HLS-ready
   /// lir text. The adaptor flow fills `adaptorStats`; the C++ flow fills
@@ -70,25 +77,37 @@ public:
     lir::PassStats adaptorStats;
   };
 
+  using GraphPtr = std::shared_ptr<const vhls::ScheduleGraph>;
+
   /// One cached stage output; `index()` is its Stage.
-  using Entry = std::variant<std::string, BridgeEntry, vhls::SynthesisReport>;
+  using Entry = std::variant<std::string, BridgeEntry, vhls::SynthesisReport,
+                             GraphPtr>;
 
   /// Structural hit/miss/bytes snapshot (mirrors the "flow.cache"
   /// statistics and the mha_stage_cache_* metrics). Byte totals count the
   /// payloads currently resident per stage map: strings at their length,
   /// report structures at their structural size (fixed fields via sizeof
-  /// plus owned string/vector payloads).
+  /// plus owned string/vector payloads; a graph at the size of its
+  /// arrays).
   struct Counters {
     int64_t mlirHits = 0, mlirMisses = 0;
     int64_t bridgeHits = 0, bridgeMisses = 0;
     int64_t synthHits = 0, synthMisses = 0;
-    int64_t mlirBytes = 0, bridgeBytes = 0, synthBytes = 0;
-    int64_t mlirEvictions = 0, bridgeEvictions = 0, synthEvictions = 0;
-    int64_t hits() const { return mlirHits + bridgeHits + synthHits; }
-    int64_t misses() const { return mlirMisses + bridgeMisses + synthMisses; }
-    int64_t bytes() const { return mlirBytes + bridgeBytes + synthBytes; }
+    int64_t graphHits = 0, graphMisses = 0;
+    int64_t mlirBytes = 0, bridgeBytes = 0, synthBytes = 0, graphBytes = 0;
+    int64_t mlirEvictions = 0, bridgeEvictions = 0, synthEvictions = 0,
+            graphEvictions = 0;
+    int64_t hits() const {
+      return mlirHits + bridgeHits + synthHits + graphHits;
+    }
+    int64_t misses() const {
+      return mlirMisses + bridgeMisses + synthMisses + graphMisses;
+    }
+    int64_t bytes() const {
+      return mlirBytes + bridgeBytes + synthBytes + graphBytes;
+    }
     int64_t evictions() const {
-      return mlirEvictions + bridgeEvictions + synthEvictions;
+      return mlirEvictions + bridgeEvictions + synthEvictions + graphEvictions;
     }
     /// hits / (hits + misses), 0 when no lookups happened.
     double hitRate() const {

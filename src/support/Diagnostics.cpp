@@ -32,6 +32,12 @@ void DiagnosticEngine::note(std::string message, SrcLoc loc) {
   diags_.push_back({DiagSeverity::Note, loc, std::move(message)});
 }
 
+void DiagnosticEngine::report(Diagnostic diag) {
+  if (diag.severity == DiagSeverity::Error)
+    ++numErrors_;
+  diags_.push_back(std::move(diag));
+}
+
 std::string DiagnosticEngine::str() const {
   std::string out;
   for (const Diagnostic &d : diags_) {

@@ -35,6 +35,8 @@ public:
   void error(std::string message, SrcLoc loc = {});
   void warning(std::string message, SrcLoc loc = {});
   void note(std::string message, SrcLoc loc = {});
+  /// Adds an already-built diagnostic (e.g. one replayed from a cache).
+  void report(Diagnostic diag);
 
   bool hadError() const { return numErrors_ > 0; }
   size_t errorCount() const { return numErrors_; }

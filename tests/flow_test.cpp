@@ -13,6 +13,7 @@
 #include <atomic>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 using namespace mha;
 using namespace mha::flow;
@@ -437,8 +438,9 @@ int64_t materialized() {
 
 // A bridge-cache hit defers the final module: a full warm hit builds no
 // IR, the first read builds exactly a fresh parse of the cached bridge
-// text, and a synth miss builds it once and synthesizes it in place, with
-// the same report as a cache-off run.
+// text, a synth miss that must elaborate builds it once and synthesizes it
+// in place, and a synth-only edit served from the cached ScheduleGraph
+// builds nothing until read. Every report equals a cache-off run's.
 TEST(Flow, BridgeHitBuildsFinalModuleOnlyWhenRead) {
   for (Entry entry : {Entry::Adaptor, Entry::HlsCpp, Entry::Lir}) {
     SCOPED_TRACE(entry == Entry::Adaptor  ? "adaptor"
@@ -495,15 +497,17 @@ TEST(Flow, BridgeHitBuildsFinalModuleOnlyWhenRead) {
     }
     EXPECT_EQ(materialized(), before + 1);
 
-    // Synth-only TargetSpec edit: built once, synthesized in place, and
-    // reported exactly like the cache-off twin.
+    // Synth-only TargetSpec edit: the cached graph is rescheduled, so the
+    // run builds nothing and reports exactly like the cache-off twin. The
+    // first read builds the synthesized module: the bridge text, parsed
+    // and backend-unrolled.
     FlowOptions edit = cached;
     edit.synthesis.target.clockPeriodNs = 5.0;
     before = materialized();
     FlowResult edited = runEntryWith(entry, edit);
     ASSERT_TRUE(edited.ok) << edited.diagnostics;
     EXPECT_FALSE(edited.synthFromCache);
-    EXPECT_EQ(materialized(), before + 1);
+    EXPECT_EQ(materialized(), before);
     FlowOptions twinOptions = edit;
     twinOptions.useStageCache = false;
     FlowResult twin = runEntryWith(entry, twinOptions);
@@ -520,7 +524,211 @@ TEST(Flow, BridgeHitBuildsFinalModuleOnlyWhenRead) {
     EXPECT_EQ(lir::printModule(*edited.module),
               lir::printModule(*synthesized));
     EXPECT_EQ(materialized(), before + 1);
+    if (entry != Entry::Lir) {
+      std::string error;
+      EXPECT_TRUE(cosimAgainstReference(edited, *findKernel("gemm"), error))
+          << error;
+    }
   }
+  StageCache::global().clear();
+}
+
+namespace {
+
+/// Telemetry spans named `name` recorded while `run` executes.
+template <typename Run> size_t spansNamed(const char *name, Run run) {
+  telemetry::Tracer &tracer = telemetry::Tracer::global();
+  tracer.reset();
+  tracer.setEnabled(true);
+  run();
+  tracer.setEnabled(false);
+  std::vector<telemetry::TraceEvent> events = tracer.events();
+  tracer.reset();
+  return std::count_if(events.begin(), events.end(),
+                       [&](const telemetry::TraceEvent &event) {
+                         return event.name == name;
+                       });
+}
+
+/// Synth-only TargetSpec edits: three clocks and a set of FU limits.
+std::vector<vhls::TargetSpec> editedTargets() {
+  std::vector<vhls::TargetSpec> targets(4);
+  targets[0].clockPeriodNs = 5.0;
+  targets[1].clockPeriodNs = 7.5;
+  targets[2].clockPeriodNs = 15.0;
+  targets[3].fuLimits = {{"fadd", 1}, {"fmul", 1}, {"imul", 1}};
+  return targets;
+}
+
+} // namespace
+
+// A synth-only TargetSpec edit reschedules the cached ScheduleGraph: for
+// every kernel in both flows, each edited target reports byte for byte
+// like its cache-off twin, and the run neither parses nor unrolls (no
+// materialize-lir span, bridge.materialized unchanged). A later read
+// builds the cached bridge text synthesized, which co-simulates.
+TEST(Flow, SynthOnlyEditSchedulesCachedGraph) {
+  KernelConfig config;
+  config.pipelineII = 1;
+  config.unrollFactor = 2;
+  config.partitionFactor = 2;
+  for (const KernelSpec &spec : allKernels())
+    for (FlowKind kind : {FlowKind::Adaptor, FlowKind::HlsCpp}) {
+      SCOPED_TRACE(spec.name + " " + flowKindName(kind));
+      StageCache::global().clear();
+      FlowOptions cached;
+      cached.useStageCache = true;
+      // The bridge output, from a run cancelled before synthesis, then
+      // synthesized as a graph-miss run would.
+      std::atomic<bool> cancel{false};
+      FlowOptions prime = cached;
+      prime.cancelFlag = &cancel;
+      prime.onStage = [&](const char *stage) {
+        cancel = std::string(stage) == "bridge";
+      };
+      FlowResult bridge = runFlow(kind, spec, config, prime);
+      ASSERT_NE(bridge.module, nullptr);
+      DiagnosticEngine diags;
+      lir::LContext ctx;
+      std::unique_ptr<lir::Module> synthesized =
+          lir::parseModule(lir::printModule(*bridge.module), ctx, diags);
+      ASSERT_NE(synthesized, nullptr) << diags.str();
+      vhls::unrollByDirectives(*synthesized);
+      const std::string synthesizedText = lir::printModule(*synthesized);
+      // The first full run restores the bridge and stores the graph.
+      ASSERT_TRUE(runFlow(kind, spec, config, cached).ok);
+      ASSERT_EQ(StageCache::global().counters().graphMisses, 1);
+
+      for (const vhls::TargetSpec &target : editedTargets()) {
+        SCOPED_TRACE(target.clockPeriodNs);
+        FlowOptions edit = cached;
+        edit.synthesis.target = target;
+        FlowOptions off = edit;
+        off.useStageCache = false;
+        FlowResult twin = runFlow(kind, spec, config, off);
+        ASSERT_TRUE(twin.ok) << twin.diagnostics;
+
+        const int64_t before = materialized();
+        const int64_t graphHits = StageCache::global().counters().graphHits;
+        FlowResult edited;
+        EXPECT_EQ(spansNamed("materialize-lir",
+                             [&] { edited = runFlow(kind, spec, config, edit); }),
+                  0u);
+        ASSERT_TRUE(edited.ok) << edited.diagnostics;
+        EXPECT_FALSE(edited.synthFromCache);
+        EXPECT_EQ(StageCache::global().counters().graphHits, graphHits + 1);
+        EXPECT_EQ(materialized(), before);
+        EXPECT_EQ(edited.synth.json(), twin.synth.json());
+
+        EXPECT_EQ(lir::printModule(*edited.module), synthesizedText);
+        EXPECT_EQ(materialized(), before + 1);
+        std::string error;
+        EXPECT_TRUE(cosimAgainstReference(edited, spec, error)) << error;
+      }
+    }
+  StageCache::global().clear();
+}
+
+// Four threads share one cached graph: 50 synth-only edits each, every one
+// a graph hit whose report equals its cold twin's.
+TEST(Flow, ConcurrentSynthEditsShareOneGraph) {
+  const KernelSpec &spec = *findKernel("gemm");
+  KernelConfig config;
+  config.pipelineII = 1;
+  config.unrollFactor = 2;
+  config.partitionFactor = 2;
+  constexpr int kThreads = 4, kEdits = 50;
+  auto optionsFor = [](int edit, bool useStageCache) {
+    FlowOptions options;
+    options.useStageCache = useStageCache;
+    options.synthesis.target.clockPeriodNs = 5.0 + 0.02 * edit; // < 10 ns
+    if (edit % 2)
+      options.synthesis.target.fuLimits["fadd"] = 1 + edit % 3;
+    return options;
+  };
+  std::vector<std::string> twins;
+  for (int edit = 0; edit < kThreads * kEdits; ++edit) {
+    FlowResult twin = runAdaptorFlow(spec, config, optionsFor(edit, false));
+    ASSERT_TRUE(twin.ok) << twin.diagnostics;
+    twins.push_back(twin.synth.json());
+  }
+
+  // A cold run stores no graph; the first edit of the design does.
+  StageCache::global().clear();
+  FlowOptions cached;
+  cached.useStageCache = true;
+  ASSERT_TRUE(runAdaptorFlow(spec, config, cached).ok);
+  cached.synthesis.target.clockPeriodNs = 4.0;
+  ASSERT_TRUE(runAdaptorFlow(spec, config, cached).ok);
+  const StageCache::Counters before = StageCache::global().counters();
+  EXPECT_EQ(before.graphMisses, 2);
+  EXPECT_EQ(before.graphHits, 0);
+  std::atomic<int> failed{0}, differ{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int e = 0; e < kEdits; ++e) {
+        int edit = t * kEdits + e;
+        FlowResult run = runAdaptorFlow(spec, config, optionsFor(edit, true));
+        if (!run.ok)
+          ++failed;
+        else if (run.synth.json() != twins[edit])
+          ++differ;
+      }
+    });
+  for (std::thread &thread : threads)
+    thread.join();
+  const StageCache::Counters after = StageCache::global().counters();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(differ.load(), 0);
+  EXPECT_EQ(after.graphHits - before.graphHits, kThreads * kEdits);
+  EXPECT_EQ(after.graphMisses, before.graphMisses);
+  StageCache::global().clear();
+}
+
+// A graph hit replays the elaboration's diagnostics: a synth-only edit of
+// a direct-LIR input accepted with a warning (a flat GEP) reports exactly
+// the diagnostics of the graph-miss run before it.
+TEST(Flow, GraphHitReplaysElaborationDiagnostics) {
+  const std::string flatGep = R"(
+define void @k(double* %p, i64 %n) {
+entry:
+  %addr = getelementptr double, double* %p, i64 %n
+  %v = load double, double* %addr
+  %d = fmul double %v, 2.0
+  store double %d, double* %addr
+  ret void
+}
+)";
+  StageCache::global().clear();
+  FlowOptions cached;
+  cached.useStageCache = true;
+  // Prime the bridge only (cancelled before synth), so both runs below
+  // restore the same bridge entry and differ only in the graph stage.
+  std::atomic<bool> cancel{false};
+  FlowOptions prime = cached;
+  prime.cancelFlag = &cancel;
+  prime.onStage = [&](const char *stage) {
+    cancel = std::string(stage) == "bridge";
+  };
+  ASSERT_TRUE(runLirAdaptorFlow(flatGep, "k", prime).cancelled);
+
+  FlowResult miss = runLirAdaptorFlow(flatGep, "k", cached);
+  ASSERT_TRUE(miss.ok) << miss.diagnostics;
+  EXPECT_EQ(StageCache::global().counters().graphHits, 0);
+  EXPECT_GT(miss.synth.compat.warnings, 0);
+  EXPECT_NE(miss.diagnostics.find("warning: hls-frontend: flat "
+                                  "pointer-arithmetic GEP in @k"),
+            std::string::npos)
+      << miss.diagnostics;
+
+  FlowOptions edit = cached;
+  edit.synthesis.target.clockPeriodNs = 5.0;
+  FlowResult hit = runLirAdaptorFlow(flatGep, "k", edit);
+  ASSERT_TRUE(hit.ok) << hit.diagnostics;
+  EXPECT_EQ(StageCache::global().counters().graphHits, 1);
+  EXPECT_EQ(hit.diagnostics, miss.diagnostics);
+  EXPECT_EQ(hit.synth.compat.warnings, miss.synth.compat.warnings);
   StageCache::global().clear();
 }
 

@@ -450,6 +450,66 @@ TEST(MetricsStageCache, HitMissBytesTrackLookups) {
             0);
 }
 
+// The graph stage reports like the others: the flow.cache graph.hit and
+// graph.miss statistics, the mha_stage_cache_*{stage="graph"} series, and
+// a structural byte size that the byte cap evicts against.
+TEST(MetricsStageCache, GraphStageIsCountedAndBounded) {
+  MetricsScope scope;
+  flow::StageCache &cache = flow::StageCache::global();
+  cache.clear();
+  auto statistic = [](const char *name) {
+    for (const telemetry::StatisticValue &v :
+         telemetry::statisticValues(/*includeZero=*/true))
+      if (v.group == "flow.cache" && v.name == name)
+        return v.value;
+    ADD_FAILURE() << "flow.cache " << name << " is not registered";
+    return int64_t(-1);
+  };
+  const int64_t hitsBefore = statistic("graph.hit");
+  const int64_t missesBefore = statistic("graph.miss");
+  flow::FlowOptions options;
+  options.useStageCache = true;
+  const flow::KernelSpec &fir = *flow::findKernel("fir");
+  // A cold run misses and stores no graph; the first edit misses and
+  // stores it; the second edit hits.
+  ASSERT_TRUE(flow::runAdaptorFlow(fir, {}, options).ok);
+  EXPECT_EQ(cache.counters().graphBytes, 0);
+  for (double clockPeriodNs : {5.0, 7.5}) {
+    options.synthesis.target.clockPeriodNs = clockPeriodNs;
+    ASSERT_TRUE(flow::runAdaptorFlow(fir, {}, options).ok);
+  }
+
+  flow::StageCache::Counters stats = cache.counters();
+  EXPECT_EQ(stats.graphMisses, 2);
+  EXPECT_EQ(stats.graphHits, 1);
+  EXPECT_GT(stats.graphBytes, 0);
+  EXPECT_EQ(stats.bytes(), stats.mlirBytes + stats.bridgeBytes +
+                               stats.synthBytes + stats.graphBytes);
+  EXPECT_EQ(statistic("graph.miss") - missesBefore, 2);
+  EXPECT_EQ(statistic("graph.hit") - hitsBefore, 1);
+  metrics::Registry &reg = metrics::Registry::global();
+  const metrics::Labels graph = {{"stage", "graph"}};
+  EXPECT_EQ(reg.counter("mha_stage_cache_misses_total", "", graph).value(), 2);
+  EXPECT_EQ(reg.counter("mha_stage_cache_hits_total", "", graph).value(), 1);
+  EXPECT_EQ(reg.gauge("mha_stage_cache_bytes", "", graph).value(),
+            stats.graphBytes);
+
+  // A cap below the resident total evicts, the graph included.
+  cache.setLimitBytes(stats.graphBytes);
+  stats = cache.counters();
+  EXPECT_LE(stats.bytes(), cache.limitBytes());
+  cache.setLimitBytes(1);
+  stats = cache.counters();
+  EXPECT_EQ(stats.graphBytes, 0);
+  EXPECT_EQ(stats.graphEvictions, 1);
+  EXPECT_EQ(stats.evictions(), stats.mlirEvictions + stats.bridgeEvictions +
+                                   stats.synthEvictions + 1);
+  EXPECT_EQ(reg.counter("mha_stage_cache_evictions_total", "", graph).value(),
+            1);
+  cache.setLimitBytes(0);
+  cache.clear();
+}
+
 TEST(MetricsStageCache, OneKeySamplePerStage) {
   MetricsScope scope;
   flow::StageCache::global().clear();
@@ -461,8 +521,13 @@ TEST(MetricsStageCache, OneKeySamplePerStage) {
   flow::FlowResult result =
       flow::runAdaptorFlow(*flow::findKernel("fir"), {}, options);
   ASSERT_TRUE(result.ok) << result.diagnostics;
-  // A cold cached run misses all three stages; each key (mlir, bridge,
-  // synth) is computed once for its lookup and reused for its store.
+  // A cold cached run misses all four stages; each key (mlir, bridge,
+  // synth, graph) is computed once, for its lookup and any store.
+  EXPECT_EQ(keys.merged().count - before, 4);
+  // A full warm hit stops at the synth hit: the graph is never keyed.
+  before = keys.merged().count;
+  result = flow::runAdaptorFlow(*flow::findKernel("fir"), {}, options);
+  ASSERT_TRUE(result.ok && result.synthFromCache) << result.diagnostics;
   EXPECT_EQ(keys.merged().count - before, 3);
   flow::StageCache::global().clear();
 }

@@ -253,6 +253,43 @@ exit:
   EXPECT_EQ(loop.achievedII, 1);
 }
 
+TEST(VhlsSchedule, BankClassesDoNotAliasAboveFactor1000) {
+  // Cyclic factor 1024: a[1000*iv] is bank class (residue 0, coefficient
+  // 1000) and a[1], a[1025] are (residue 1, coefficient 0). A key folded
+  // as residue*1000+coefficient gives both classes 1000, which puts three
+  // loads on two ports and inflates ResMII to 2.
+  Synth s(R"(
+define void @k([4096 x double]* noalias !xlx.array_partition !{!{i64 0, i64 1024, !"cyclic"}} %a, [64 x double]* noalias %o) {
+entry:
+  br label %header
+header:
+  %iv = phi i64 [ 0, %entry ], [ %next, %body ]
+  %cmp = icmp slt i64 %iv, 4
+  br i1 %cmp, label %body, label %exit
+body:
+  %far = mul i64 %iv, 1000
+  %a0 = getelementptr [4096 x double], [4096 x double]* %a, i64 0, i64 %far
+  %v0 = load double, double* %a0
+  %a1 = getelementptr [4096 x double], [4096 x double]* %a, i64 0, i64 1
+  %v1 = load double, double* %a1
+  %a2 = getelementptr [4096 x double], [4096 x double]* %a, i64 0, i64 1025
+  %v2 = load double, double* %a2
+  %s1 = fadd double %v0, %v1
+  %s2 = fadd double %s1, %v2
+  %oaddr = getelementptr [64 x double], [64 x double]* %o, i64 0, i64 %iv
+  store double %s2, double* %oaddr
+  %next = add i64 %iv, 1
+  br label %header, !xlx.pipeline !{i64 1}
+exit:
+  ret void
+}
+)");
+  ASSERT_TRUE(s.report.accepted) << s.diagnostics;
+  const LoopReport &loop = s.report.functions[0].loops[0];
+  EXPECT_EQ(loop.resMII, 1) << s.report.str();
+  EXPECT_EQ(loop.achievedII, 1);
+}
+
 TEST(VhlsSchedule, UnrollDirectiveApplied) {
   std::string unrolled = kStreamLoop;
   size_t pos = unrolled.find("!xlx.pipeline !{i64 1}");
