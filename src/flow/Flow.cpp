@@ -49,6 +49,8 @@ struct FlowState {
   std::string mirText; // stage-1 output text (cache on)
   std::string lirText; // bridge output text; addresses synth and graph
   bool bridgeHit = false; // lirText was served from the StageCache
+  /// Index of the first diagnostic the stage being encoded reported.
+  size_t runDiagsFrom = 0;
   /// The elaborated final module (graph stage), scheduled by synth.
   StageCache::GraphPtr graph;
   adaptor::AdaptorOptions adaptorOpts = options.adaptor;
@@ -200,10 +202,10 @@ StageCache::Entry mlirEncode(FlowState &s) {
 
 // --- Stage 2: the flow-specific bridge to HLS-ready lir -----------------
 //
-// A hit replaces the whole leg with the cached lir text: the final module
-// is deferred (FinalModule) and parsed only when a synth miss or a reader
-// needs it, so a full warm hit builds no IR. One codec serves all three
-// flows.
+// A hit replaces the whole leg with the cached lir text and replays the
+// leg's diagnostics: the final module is deferred (FinalModule) and parsed
+// only when a synth miss or a reader needs it, so a full warm hit builds
+// no IR. One codec serves all three flows.
 
 bool bridgeRestore(FlowState &s, StageCache::Entry &entry) {
   auto &cached = std::get<StageCache::BridgeEntry>(entry);
@@ -216,13 +218,17 @@ bool bridgeRestore(FlowState &s, StageCache::Entry &entry) {
   });
   r.adaptorStats = std::move(cached.adaptorStats);
   r.hlsCpp = std::move(cached.hlsCpp);
+  for (Diagnostic &diag : cached.diagnostics)
+    s.diags.report(std::move(diag));
   return true;
 }
 
 StageCache::Entry bridgeEncode(FlowState &s) {
   s.lirText = lir::printModule(*s.result.module);
-  return StageCache::BridgeEntry{s.lirText, s.result.hlsCpp,
-                                 s.result.adaptorStats};
+  const std::vector<Diagnostic> &diags = s.diags.diagnostics();
+  return StageCache::BridgeEntry{
+      s.lirText, s.result.hlsCpp, s.result.adaptorStats,
+      {diags.begin() + s.runDiagsFrom, diags.end()}};
 }
 
 /// Reparses a cached stage-1 result when a bridge run needs the actual
@@ -435,10 +441,13 @@ bool runStage(FlowState &s, const StageDef &stage) {
     if (StageCache::global().lookup(stage.stage, key, entry))
       return stage.restore(s, entry);
   }
+  const size_t diagsFrom = s.diags.diagnostics().size();
   if (!stage.run(s))
     return false;
-  if (cached && (!stage.admit || stage.admit(s)))
+  if (cached && (!stage.admit || stage.admit(s))) {
+    s.runDiagsFrom = diagsFrom; // not before: a nested stage sets its own
     StageCache::global().store(key, stage.encode(s));
+  }
   return true;
 }
 

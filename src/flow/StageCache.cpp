@@ -65,6 +65,8 @@ int64_t payloadBytes(const StageCache::BridgeEntry &entry) {
                                    entry.hlsCpp.size());
   for (const auto &[name, value] : entry.adaptorStats)
     n += static_cast<int64_t>(name.size() + sizeof(value));
+  for (const Diagnostic &diag : entry.diagnostics)
+    n += static_cast<int64_t>(sizeof(diag) + diag.message.size());
   return n;
 }
 

@@ -13,9 +13,10 @@
 //           value = printed mir module after the shared MLIR preparation
 //   Bridge  key = H(mir text, bridge options)   [per flow kind]
 //           value = BridgeEntry: printed lir module (+ adaptor stats /
-//           emitted C++). A hit installs the text, not a module: the
-//           flow's FinalModule parses it on first use (a synth miss or a
-//           reader such as cosim), so a full warm hit builds no IR.
+//           emitted C++, and the leg's diagnostics, replayed on a hit).
+//           A hit installs the text, not a module: the flow's
+//           FinalModule parses it on first use (a synth miss or a reader
+//           such as cosim), so a full warm hit builds no IR.
 //   Synth   key = H(lir text, synthesis options)
 //           value = the SynthesisReport
 //   Graph   key = H(lir text, applyUnrollDirectives)
@@ -48,12 +49,14 @@
 #pragma once
 
 #include "lir/PassManager.h"
+#include "support/Diagnostics.h"
 #include "vhls/Vhls.h"
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <variant>
+#include <vector>
 
 namespace mha::metrics {
 class Histogram;
@@ -71,10 +74,12 @@ public:
   /// Bridge-stage output: the flow-specific leg from mir text to HLS-ready
   /// lir text. The adaptor flow fills `adaptorStats`; the C++ flow fills
   /// `hlsCpp` (the emitted source, part of its FlowResult contract).
+  /// `diagnostics` are the ones the leg reported, replayed on a hit.
   struct BridgeEntry {
     std::string lirText;
     std::string hlsCpp;
     lir::PassStats adaptorStats;
+    std::vector<Diagnostic> diagnostics;
   };
 
   using GraphPtr = std::shared_ptr<const vhls::ScheduleGraph>;

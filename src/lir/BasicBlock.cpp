@@ -26,6 +26,11 @@ BasicBlock::iterator BasicBlock::positionOf(Instruction *inst) {
   return insts_.end();
 }
 
+BasicBlock::iterator BasicBlock::erase(iterator pos) {
+  (*pos)->dropAllOperands();
+  return insts_.erase(pos);
+}
+
 BasicBlock::iterator BasicBlock::firstNonPhi() {
   auto it = insts_.begin();
   while (it != insts_.end() && (*it)->opcode() == Opcode::Phi)

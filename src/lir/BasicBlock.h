@@ -51,6 +51,9 @@ public:
   Instruction *insert(iterator pos, std::unique_ptr<Instruction> inst);
   /// Finds the list position of `inst` (must be in this block).
   iterator positionOf(Instruction *inst);
+  /// Destroys the instruction at `pos` (dropping its operands first) and
+  /// returns the position after it.
+  iterator erase(iterator pos);
 
   /// First non-phi position.
   iterator firstNonPhi();

@@ -292,15 +292,7 @@ std::unique_ptr<Instruction> Instruction::clone() const {
 
 void Instruction::eraseFromParent() {
   assert(parent_ && "instruction has no parent");
-  BasicBlock *bb = parent_;
-  for (auto it = bb->insts_.begin(); it != bb->insts_.end(); ++it) {
-    if (it->get() == this) {
-      (*it)->dropAllOperands();
-      bb->insts_.erase(it);
-      return;
-    }
-  }
-  assert(false && "instruction not found in parent block");
+  parent_->erase(parent_->positionOf(this));
 }
 
 std::unique_ptr<Instruction> Instruction::removeFromParent() {

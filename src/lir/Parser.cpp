@@ -9,6 +9,7 @@
 #include <cctype>
 #include <map>
 #include <optional>
+#include <set>
 #include <vector>
 
 namespace mha::lir {
@@ -509,6 +510,11 @@ private:
       values_["%" + fn->arg(i)->name()] = fn->arg(i);
 
     BasicBlock *curBB = nullptr;
+    // The last block defined so far. Blocks are laid out in definition
+    // order: one first mentioned by a forward branch or a phi was
+    // appended at that mention and moves here when its label comes.
+    Function::iterator lastDefined = fn->end();
+    std::set<const BasicBlock *> defined;
     IRBuilder builder(ctx_);
     while (lex_.cur().kind != Tok::RBrace && lex_.cur().kind != Tok::Eof &&
            !diags_.hadError()) {
@@ -519,6 +525,18 @@ private:
         if (lex_.cur().kind == Tok::Colon) {
           lex_.advance();
           curBB = getBlock(fn, first.text);
+          if (!defined.insert(curBB).second) {
+            // The loop stops at the error.
+            diags_.error(strfmt("redefinition of block %%%s",
+                                first.text.c_str()),
+                         first.loc);
+          } else if (lastDefined == fn->end()) {
+            lastDefined = fn->begin(); // the first label: nothing precedes it
+          } else {
+            if (std::next(lastDefined)->get() != curBB)
+              fn->moveBlockAfter(curBB, lastDefined->get());
+            ++lastDefined;
+          }
           builder.setInsertPoint(curBB);
           continue;
         }

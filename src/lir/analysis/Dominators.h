@@ -32,12 +32,12 @@ public:
     return number(bb) != kUnreachable;
   }
 
-private:
   static constexpr unsigned kUnreachable = ~0u;
 
-  /// RPO number of `bb`, or kUnreachable.
+  /// RPO number of `bb` (its index in rpo()), or kUnreachable.
   unsigned number(const BasicBlock *bb) const;
 
+private:
   std::vector<BasicBlock *> rpo_;
   /// Every block of the function -> its RPO number (kUnreachable when
   /// unreachable).

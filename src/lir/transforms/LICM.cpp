@@ -22,12 +22,13 @@ public:
     if (fn.isDeclaration())
       return false;
     bool changed = false;
-    // Hoisting can enable more hoisting in enclosing loops; iterate.
-    bool local = true;
-    while (local) {
+    // Hoisting only moves instructions into existing preheaders and never
+    // changes the CFG, so one analysis serves every round. It can enable
+    // more hoisting in enclosing loops; iterate.
+    DominatorTree domTree(fn);
+    LoopInfo loopInfo(fn, domTree);
+    for (bool local = true; local;) {
       local = false;
-      DominatorTree domTree(fn);
-      LoopInfo loopInfo(fn, domTree);
       for (const auto &loop : loopInfo.loops())
         local |= hoistFromLoop(*loop, stats);
       changed |= local;

@@ -12,7 +12,9 @@
 namespace mha::lir {
 
 /// Promotes allocas whose only uses are same-typed loads/stores to SSA
-/// registers (phi insertion at iterated dominance frontiers).
+/// registers: phi insertion at iterated dominance frontiers, then one
+/// dominator-tree walk renames every promoted alloca of a function. Loads
+/// in unreachable blocks read undef.
 std::unique_ptr<ModulePass> createMem2RegPass();
 
 /// Removes unreachable blocks, folds constant conditional branches, merges

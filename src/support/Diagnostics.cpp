@@ -10,13 +10,26 @@ std::string SrcLoc::str() const {
   return strfmt("%d:%d", line, col);
 }
 
+namespace {
+
+/// Appends `diag` as "[line:col: ]severity: message". Concatenated rather
+/// than formatted: a cached flow stage replays its diagnostics on every
+/// hit, and each flow run renders all of them.
+void render(const Diagnostic &diag, std::string &out) {
+  if (diag.loc.isValid())
+    out.append(diag.loc.str()).append(": ");
+  out.append(diag.severity == DiagSeverity::Error     ? "error"
+             : diag.severity == DiagSeverity::Warning ? "warning"
+                                                      : "note");
+  out.append(": ").append(diag.message);
+}
+
+} // namespace
+
 std::string Diagnostic::str() const {
-  const char *sev = severity == DiagSeverity::Error     ? "error"
-                    : severity == DiagSeverity::Warning ? "warning"
-                                                        : "note";
-  if (loc.isValid())
-    return strfmt("%s: %s: %s", loc.str().c_str(), sev, message.c_str());
-  return strfmt("%s: %s", sev, message.c_str());
+  std::string out;
+  render(*this, out);
+  return out;
 }
 
 void DiagnosticEngine::error(std::string message, SrcLoc loc) {
@@ -41,7 +54,7 @@ void DiagnosticEngine::report(Diagnostic diag) {
 std::string DiagnosticEngine::str() const {
   std::string out;
   for (const Diagnostic &d : diags_) {
-    out += d.str();
+    render(d, out);
     out += '\n';
   }
   return out;

@@ -5,6 +5,7 @@
 #include "flow/StageCache.h"
 #include "lir/Parser.h"
 #include "lir/Printer.h"
+#include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
@@ -729,6 +730,112 @@ entry:
   EXPECT_EQ(StageCache::global().counters().graphHits, 1);
   EXPECT_EQ(hit.diagnostics, miss.diagnostics);
   EXPECT_EQ(hit.synth.compat.warnings, miss.synth.compat.warnings);
+  StageCache::global().clear();
+}
+
+// A bridge hit replays the bridge leg's diagnostics: the flat GEP's
+// hls-compat-verify warning (from the adaptor pipeline) is reported again
+// next to synthesis's own, so the run's diagnostics equal a cold run's.
+TEST(Flow, BridgeHitReplaysBridgeDiagnostics) {
+  const std::string flatGep = R"(
+define void @k(double* %p, i64 %n) {
+entry:
+  %addr = getelementptr double, double* %p, i64 %n
+  %v = load double, double* %addr
+  %d = fmul double %v, 2.0
+  store double %d, double* %addr
+  ret void
+}
+)";
+  FlowResult cold = runLirAdaptorFlow(flatGep, "k", {});
+  ASSERT_TRUE(cold.ok) << cold.diagnostics;
+  const std::string warning = "hls-frontend: flat pointer-arithmetic GEP";
+  size_t first = cold.diagnostics.find(warning);
+  ASSERT_NE(first, std::string::npos) << cold.diagnostics;
+  EXPECT_NE(cold.diagnostics.find(warning, first + 1), std::string::npos)
+      << cold.diagnostics;
+
+  StageCache::global().clear();
+  FlowOptions cached;
+  cached.useStageCache = true;
+  std::atomic<bool> cancel{false};
+  FlowOptions prime = cached;
+  prime.cancelFlag = &cancel;
+  prime.onStage = [&](const char *stage) {
+    cancel = std::string(stage) == "bridge";
+  };
+  ASSERT_TRUE(runLirAdaptorFlow(flatGep, "k", prime).cancelled);
+  FlowResult hit = runLirAdaptorFlow(flatGep, "k", cached);
+  ASSERT_TRUE(hit.ok) << hit.diagnostics;
+  EXPECT_EQ(StageCache::global().counters().bridgeHits, 1);
+  EXPECT_EQ(hit.diagnostics, cold.diagnostics);
+  StageCache::global().clear();
+}
+
+// The lir parser lays blocks out in definition order, so printing is a
+// fixed point of print(parse(.)) on every grid design's bridge text in
+// both flows (a block first mentioned by a forward branch or a phi used
+// to print where it was mentioned).
+TEST(Flow, BridgeTextRoundTripsThroughTheParser) {
+  std::atomic<bool> cancel{false};
+  FlowOptions bridgeOnly;
+  bridgeOnly.cancelFlag = &cancel;
+  bridgeOnly.onStage = [&](const char *stage) {
+    cancel = std::string(stage) == "bridge";
+  };
+  for (const KernelSpec &spec : allKernels())
+    for (int64_t ii : {0, 1, 2})
+      for (int64_t unroll : {1, 2, 4})
+        for (int64_t partition : {1, 2, 4})
+          for (FlowKind kind : {FlowKind::Adaptor, FlowKind::HlsCpp}) {
+            SCOPED_TRACE(strfmt("%s ii=%lld u=%lld p=%lld %s",
+                                spec.name.c_str(), (long long)ii,
+                                (long long)unroll, (long long)partition,
+                                flowKindName(kind)));
+            KernelConfig config;
+            config.pipelineII = ii;
+            config.unrollFactor = unroll;
+            config.partitionFactor = partition;
+            cancel = false;
+            FlowResult bridge = runFlow(kind, spec, config, bridgeOnly);
+            ASSERT_NE(bridge.module, nullptr) << bridge.diagnostics;
+            const std::string text = lir::printModule(*bridge.module);
+            lir::LContext ctx;
+            DiagnosticEngine diags;
+            std::unique_ptr<lir::Module> parsed =
+                lir::parseModule(text, ctx, diags);
+            ASSERT_NE(parsed, nullptr) << diags.str();
+            EXPECT_EQ(lir::printModule(*parsed), text);
+          }
+}
+
+// A bridge-hit run builds its final module from the cached text, and that
+// module prints exactly like the cache-off run's, block order included.
+TEST(Flow, BridgeHitModulePrintsLikeCacheOffModule) {
+  KernelConfig config;
+  config.pipelineII = 1;
+  config.unrollFactor = 2;
+  config.partitionFactor = 2;
+  for (const KernelSpec &spec : allKernels())
+    for (FlowKind kind : {FlowKind::Adaptor, FlowKind::HlsCpp}) {
+      SCOPED_TRACE(spec.name + " " + flowKindName(kind));
+      StageCache::global().clear();
+      FlowOptions cached;
+      cached.useStageCache = true;
+      ASSERT_TRUE(runFlow(kind, spec, config, cached).ok);
+      // A synth-only edit: the bridge hits, synthesis runs on the module
+      // built from the cached text.
+      FlowOptions edit = cached;
+      edit.synthesis.target.clockPeriodNs = 5.0;
+      FlowResult hit = runFlow(kind, spec, config, edit);
+      ASSERT_TRUE(hit.ok) << hit.diagnostics;
+      FlowOptions off = edit;
+      off.useStageCache = false;
+      FlowResult twin = runFlow(kind, spec, config, off);
+      ASSERT_TRUE(twin.ok) << twin.diagnostics;
+      EXPECT_EQ(StageCache::global().counters().bridgeHits, 1);
+      EXPECT_EQ(lir::printModule(*hit.module), lir::printModule(*twin.module));
+    }
   StageCache::global().clear();
 }
 

@@ -242,7 +242,8 @@ TEST(Rec2Iter, FactorialRewriteIsInterpEquivalent) {
 // The use-rewriting walks slots in creation order (arguments, then body
 // values in block order), so `mul %n, %r` reloads the argument before the
 // call result. Walking them in pointer order made this output depend on
-// heap addresses.
+// heap addresses. Blocks print in the input's definition order (entry,
+// base, rec), with the rewrite's new blocks after the ones they split.
 TEST(Rec2Iter, FactorialRewritePrintsInSlotCreationOrder) {
   Parsed p(kFactorialModule);
   p.runPass(createRec2IterPass());
@@ -280,47 +281,47 @@ entry:
   %rec.use.1 = load i1, i1* %4
   br i1 %rec.use.1, label %base, label %rec
 
-rec:
+base:
+  store i64 1, i64* %rec.ret
   %sp.5 = load i64, i64* %rec.sp
-  %5 = getelementptr [64 x i64], [64 x i64]* %rec.arg0, i64 0, i64 %sp.5
-  %rec.use.2 = load i64, i64* %5
-  %n1 = sub i64 %rec.use.2, 1
+  %5 = sub i64 %sp.5, 1
+  store i64 %5, i64* %rec.sp
+  br label %rec.dispatch
+
+rec:
   %sp.6 = load i64, i64* %rec.sp
-  %6 = getelementptr [64 x i64], [64 x i64]* %rec.v.1, i64 0, i64 %sp.6
-  store i64 %n1, i64* %6
+  %6 = getelementptr [64 x i64], [64 x i64]* %rec.arg0, i64 0, i64 %sp.6
+  %rec.use.2 = load i64, i64* %6
+  %n1 = sub i64 %rec.use.2, 1
+  %sp.7 = load i64, i64* %rec.sp
+  %7 = getelementptr [64 x i64], [64 x i64]* %rec.v.1, i64 0, i64 %sp.7
+  store i64 %n1, i64* %7
   br label %push
 
 push:
-  %sp.7 = load i64, i64* %rec.sp
-  %7 = getelementptr [64 x i64], [64 x i64]* %rec.v.1, i64 0, i64 %sp.7
-  %rec.use.3 = load i64, i64* %7
   %sp.8 = load i64, i64* %rec.sp
-  %sp1 = add i64 %sp.8, 1
+  %8 = getelementptr [64 x i64], [64 x i64]* %rec.v.1, i64 0, i64 %sp.8
+  %rec.use.3 = load i64, i64* %8
+  %sp.9 = load i64, i64* %rec.sp
+  %sp1 = add i64 %sp.9, 1
   %over = icmp sge i64 %sp1, 64
   br i1 %over, label %rec.overflow, label %rec.dopush1
 
 resume:
-  %sp.9 = load i64, i64* %rec.sp
-  %8 = getelementptr [64 x i64], [64 x i64]* %rec.arg0, i64 0, i64 %sp.9
-  %rec.use.4 = load i64, i64* %8
   %sp.10 = load i64, i64* %rec.sp
-  %9 = getelementptr [64 x i64], [64 x i64]* %rec.v.2, i64 0, i64 %sp.10
-  %rec.use.5 = load i64, i64* %9
-  %v = mul i64 %rec.use.4, %rec.use.5
+  %9 = getelementptr [64 x i64], [64 x i64]* %rec.arg0, i64 0, i64 %sp.10
+  %rec.use.4 = load i64, i64* %9
   %sp.11 = load i64, i64* %rec.sp
-  %10 = getelementptr [64 x i64], [64 x i64]* %rec.v.3, i64 0, i64 %sp.11
-  store i64 %v, i64* %10
+  %10 = getelementptr [64 x i64], [64 x i64]* %rec.v.2, i64 0, i64 %sp.11
+  %rec.use.5 = load i64, i64* %10
+  %v = mul i64 %rec.use.4, %rec.use.5
   %sp.12 = load i64, i64* %rec.sp
   %11 = getelementptr [64 x i64], [64 x i64]* %rec.v.3, i64 0, i64 %sp.12
-  %rec.use.6 = load i64, i64* %11
-  store i64 %rec.use.6, i64* %rec.ret
+  store i64 %v, i64* %11
   %sp.13 = load i64, i64* %rec.sp
-  %12 = sub i64 %sp.13, 1
-  store i64 %12, i64* %rec.sp
-  br label %rec.dispatch
-
-base:
-  store i64 1, i64* %rec.ret
+  %12 = getelementptr [64 x i64], [64 x i64]* %rec.v.3, i64 0, i64 %sp.13
+  %rec.use.6 = load i64, i64* %12
+  store i64 %rec.use.6, i64* %rec.ret
   %sp.14 = load i64, i64* %rec.sp
   %13 = sub i64 %sp.14, 1
   store i64 %13, i64* %rec.sp

@@ -194,6 +194,29 @@ entry:
   EXPECT_TRUE(diags.hadError());
 }
 
+// Blocks are laid out in definition order, so a label may be defined once;
+// a second definition is an error, not a merge into the first block.
+TEST(LirParseErrors, RedefinedBlock) {
+  LContext ctx;
+  DiagnosticEngine diags;
+  auto module = parseModule(R"(
+define i64 @f(i64 %x) {
+entry:
+  br label %next
+next:
+  %y = add i64 %x, 1
+  br label %next
+next:
+  ret i64 %y
+}
+)",
+                            ctx, diags);
+  EXPECT_EQ(module, nullptr);
+  EXPECT_NE(diags.str().find("redefinition of block %next"),
+            std::string::npos)
+      << diags.str();
+}
+
 TEST(LirParseErrors, BadType) {
   LContext ctx;
   DiagnosticEngine diags;

@@ -125,6 +125,138 @@ entry:
   EXPECT_NE(p.print().find("alloca"), std::string::npos);
 }
 
+// The renaming walk never visits an unreachable block: its load of a
+// promoted alloca reads undef and its store goes, so the alloca can be
+// erased (a load left behind used to keep a use of the erased alloca).
+TEST(Mem2Reg, UnreachableLoadReadsUndef) {
+  Parsed p(R"(
+define i32 @f(i32 %a) {
+entry:
+  %x = alloca i32
+  store i32 %a, i32* %x
+  br label %exit
+dead:
+  %v = load i32, i32* %x
+  store i32 %v, i32* %x
+  br label %exit
+exit:
+  %r = load i32, i32* %x
+  ret i32 %r
+}
+)");
+  PassStats stats = p.runPass(createMem2RegPass());
+  EXPECT_EQ(stats["mem2reg.promoted"], 1);
+  DiagnosticEngine diags;
+  EXPECT_TRUE(verifyModule(*p.module, diags)) << diags.str();
+  EXPECT_EQ(p.print(), R"(!flag opaque-pointers = "false"
+
+define i32 @f(i32 %a) {
+entry:
+  br label %exit
+
+dead:
+  br label %exit
+
+exit:
+  ret i32 %a
+}
+)");
+}
+
+// A phi placed at a join with an unreachable predecessor takes undef from
+// it, so the promoted function still verifies.
+TEST(Mem2Reg, PhiTakesUndefFromUnreachablePredecessor) {
+  Parsed p(R"(
+define i32 @f(i1 %c) {
+entry:
+  %x = alloca i32
+  br i1 %c, label %then, label %else
+then:
+  store i32 1, i32* %x
+  br label %join
+else:
+  store i32 2, i32* %x
+  br label %join
+dead:
+  store i32 3, i32* %x
+  br label %join
+join:
+  %r = load i32, i32* %x
+  ret i32 %r
+}
+)");
+  p.runPass(createMem2RegPass());
+  DiagnosticEngine diags;
+  EXPECT_TRUE(verifyModule(*p.module, diags)) << diags.str();
+  std::string out = p.print();
+  EXPECT_NE(out.find("%x.phi = phi i32 [ 1, %then ], [ 2, %else ], "
+                     "[ undef, %dead ]"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("store"), std::string::npos) << out;
+}
+
+// Two promoted allocas across a diamond, where %x stores loads of %y: the
+// join's phis are ordered with the later alloca's first, each phi's
+// incomings follow the renaming walk, and %x's phi, whose incomings are
+// both %y's value on entry (%b) once %y's loads are renamed, is dropped as
+// trivial.
+TEST(Mem2Reg, DiamondPhiOrderAndTrivialPhiCleanup) {
+  Parsed p(R"(
+define i32 @f(i1 %c, i32 %a, i32 %b) {
+entry:
+  %x = alloca i32
+  %y = alloca i32
+  %z = alloca i32
+  store i32 %a, i32* %x
+  store i32 %b, i32* %y
+  br i1 %c, label %then, label %else
+then:
+  %t = load i32, i32* %y
+  store i32 %t, i32* %x
+  %u = add i32 %a, 1
+  store i32 %u, i32* %y
+  store i32 %a, i32* %z
+  br label %join
+else:
+  %e = load i32, i32* %y
+  store i32 %e, i32* %x
+  store i32 %b, i32* %z
+  br label %join
+join:
+  %rx = load i32, i32* %x
+  %ry = load i32, i32* %y
+  %rz = load i32, i32* %z
+  %s = add i32 %rx, %ry
+  %r = add i32 %s, %rz
+  ret i32 %r
+}
+)");
+  PassStats stats = p.runPass(createMem2RegPass());
+  EXPECT_EQ(stats["mem2reg.promoted"], 3);
+  EXPECT_EQ(p.print(), R"(!flag opaque-pointers = "false"
+
+define i32 @f(i1 %c, i32 %a, i32 %b) {
+entry:
+  br i1 %c, label %then, label %else
+
+then:
+  %u = add i32 %a, 1
+  br label %join
+
+else:
+  br label %join
+
+join:
+  %z.phi = phi i32 [ %a, %then ], [ %b, %else ]
+  %y.phi = phi i32 [ %u, %then ], [ %b, %else ]
+  %s = add i32 %b, %y.phi
+  %r = add i32 %s, %z.phi
+  ret i32 %r
+}
+)");
+}
+
 TEST(SimplifyCFG, RemovesUnreachableBlocks) {
   Parsed p(R"(
 define void @f() {
