@@ -15,7 +15,7 @@
 //    canonicalized to applyDirectives=false.
 //
 // Canonicalization gives every design a stable string key (configKey) that
-// the QoR cache, the Pareto archive and the search strategies share.
+// the QoR cache, the Pareto archive and the --resume warm start share.
 #pragma once
 
 #include "flow/Kernels.h"

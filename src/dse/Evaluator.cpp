@@ -1,6 +1,5 @@
 #include "dse/Evaluator.h"
 
-#include "dse/QoREstimation.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/StringUtils.h"
@@ -20,25 +19,14 @@ telemetry::Statistic numCacheHits("dse", "cache-hits",
 telemetry::Statistic numCacheWaits("dse", "cache-waits",
                                    "cache hits that blocked on an in-flight "
                                    "synthesis of the same point");
-telemetry::Statistic numEstimates("dse", "estimates",
-                                  "design points scored analytically");
-telemetry::Statistic numProbeRuns("dse", "probe-runs",
-                                  "synthesis runs spent building the "
-                                  "QoR estimator");
 
 /// Evaluator latency histograms: where a design point's answer came from
-/// and what it cost. synth = a full virtual-synthesis flow run; estimate
-/// = the analytical model; cache_wait = idle time blocked on another
-/// thread's in-flight synthesis of the same point.
+/// and what it cost. synth = a full virtual-synthesis flow run;
+/// cache_wait = idle time blocked on another thread's in-flight synthesis
+/// of the same point.
 metrics::Histogram &synthUsHistogram() {
   static metrics::Histogram &hist = metrics::Registry::global().histogram(
       "mha_dse_synth_us", "full synthesis flow latency per design point");
-  return hist;
-}
-
-metrics::Histogram &estimateUsHistogram() {
-  static metrics::Histogram &hist = metrics::Registry::global().histogram(
-      "mha_dse_estimate_us", "analytical QoR estimate latency");
   return hist;
 }
 
@@ -136,83 +124,6 @@ Evaluator::evaluateAll(const std::vector<flow::KernelConfig> &configs) {
   return results;
 }
 
-void Evaluator::seedProbe(const flow::KernelConfig &config, const QoR &qor) {
-  // Probes are real synthesis results, so they can pre-fill the QoR
-  // cache — but only when co-simulation is off: a cached entry must mean
-  // the same thing evaluate() would have produced, and probes skip cosim.
-  if (options_.cosim)
-    return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = cache_.try_emplace(configKey(config));
-  if (!inserted)
-    return;
-  it->second.done = true;
-  it->second.qor = qor;
-}
-
-const QoREstimation *Evaluator::estimator(bool buildIfNeeded) {
-  // Double-checked: after the build attempt a relaxed acquire load is the
-  // whole fast path, so a parallel estimateAll never serializes here.
-  if (estimatorReady_.load(std::memory_order_acquire))
-    return estimator_.get();
-  if (!buildIfNeeded)
-    return nullptr;
-  std::lock_guard<std::mutex> lock(estimatorMutex_);
-  if (!estimatorBuilt_) {
-    estimatorBuilt_ = true;
-    telemetry::Span span(strfmt("dse:probe:%s", spec_->name.c_str()), "dse",
-                         {{"kernel", spec_->name}});
-    estimator_ = QoREstimation::build(*spec_, options_.flow,
-                                      &estimatorError_);
-    int64_t probes = QoREstimation::kProbeRuns;
-    {
-      std::lock_guard<std::mutex> countLock(mutex_);
-      probeRuns_ += probes;
-      synthRuns_ += probes;
-    }
-    numProbeRuns += probes;
-    numSynthRuns += probes;
-    if (estimator_) {
-      seedProbe(estimator_->baselineProbeConfig(),
-                estimator_->baselineProbeQoR());
-      seedProbe(estimator_->pipelinedProbeConfig(),
-                estimator_->pipelinedProbeQoR());
-    }
-    estimatorReady_.store(true, std::memory_order_release);
-  }
-  return estimator_.get();
-}
-
-QoR Evaluator::estimate(const flow::KernelConfig &config) {
-  const QoREstimation *est = estimator();
-  metrics::Timer timer(estimateUsHistogram());
-  estimates_.fetch_add(1, std::memory_order_relaxed);
-  ++numEstimates;
-  if (!est) {
-    QoR qor;
-    std::lock_guard<std::mutex> lock(estimatorMutex_);
-    qor.error = estimatorError_.empty() ? "estimator unavailable"
-                                        : estimatorError_;
-    return qor;
-  }
-  return est->estimate(config);
-}
-
-std::vector<QoR>
-Evaluator::estimateAll(const std::vector<flow::KernelConfig> &configs) {
-  // Build once up front so the batch's parallel arithmetic never
-  // serializes on the probe synthesis.
-  estimator();
-  telemetry::Span span(strfmt("dse:estimate-batch:%s", spec_->name.c_str()),
-                       "dse",
-                       {{"kernel", spec_->name},
-                        {"points", strfmt("%zu", configs.size())}});
-  std::vector<QoR> results(configs.size());
-  parallelFor(*pool_, configs.size(),
-              [&](size_t i) { results[i] = estimate(configs[i]); });
-  return results;
-}
-
 int64_t Evaluator::synthRuns() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return synthRuns_;
@@ -226,15 +137,6 @@ int64_t Evaluator::cacheHits() const {
 int64_t Evaluator::cacheWaits() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return cacheWaits_;
-}
-
-int64_t Evaluator::estimates() const {
-  return estimates_.load(std::memory_order_relaxed);
-}
-
-int64_t Evaluator::probeRuns() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return probeRuns_;
 }
 
 size_t Evaluator::cacheSize() const {

@@ -9,37 +9,25 @@
 //
 // The QoR cache is keyed by kernel name + canonical config key
 // (dse::configKey): revisiting a point — within one search, across
-// strategies sharing an evaluator, or across processes via the JSON cache
+// searches sharing an evaluator, or across processes via the JSON cache
 // file (schema "mha.dse.cache.v1") — performs no synthesis. Concurrent
 // requests for the same un-cached point synthesize once; late arrivals
 // block on the in-flight entry and count as cache hits.
 //
 // evaluateAll() fans a batch of points out across the evaluator's
 // ThreadPool and returns QoRs in input order.
-//
-// The *fast path* is estimate()/estimateAll(): analytical QoR prediction
-// through a lazily-built QoREstimation model (two probe synthesis runs,
-// then pure arithmetic per point). Estimates never enter the QoR cache —
-// they are predictions, not measurements — but the probes are real
-// synthesis results and seed the cache (unless co-simulation is on, since
-// probes are not co-simulated). The refine strategy scores whole spaces
-// through the fast path and promotes only the points its slack rule keeps
-// to evaluateAll().
 #pragma once
 
 #include "dse/DesignSpace.h"
 #include "flow/Flow.h"
 #include "support/ThreadPool.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 
 namespace mha::dse {
-
-class QoREstimation;
 
 /// Quality-of-result tuple for one design point.
 struct QoR {
@@ -77,22 +65,7 @@ public:
   /// Evaluates a batch in parallel on the pool; results in input order.
   std::vector<QoR> evaluateAll(const std::vector<flow::KernelConfig> &configs);
 
-  /// Analytically predicts one design point's QoR (fast path). Builds the
-  /// estimator on first use (two probe synthesis runs); a point whose
-  /// probes fail comes back with ok=false and the probe diagnostic.
-  QoR estimate(const flow::KernelConfig &config);
-
-  /// Predicts a batch on the pool; results in input order. The estimator
-  /// build is serialized; the per-point arithmetic fans out.
-  std::vector<QoR> estimateAll(const std::vector<flow::KernelConfig> &configs);
-
-  /// The underlying estimator: built on first use (buildIfNeeded=true) or
-  /// only returned if some estimate() already built it. nullptr when the
-  /// probes failed (or it was never built).
-  const QoREstimation *estimator(bool buildIfNeeded = true);
-
-  /// Actual flow executions (cache misses) performed by this evaluator,
-  /// probe runs included.
+  /// Actual flow executions (cache misses) performed by this evaluator.
   int64_t synthRuns() const;
   /// Evaluations answered from the cache (including waits on in-flight
   /// synthesis of the same point).
@@ -101,10 +74,6 @@ public:
   /// synthesis of the same point (tagged dse:cache-wait in traces, so
   /// waiters never book the producer's synthesis time as their own).
   int64_t cacheWaits() const;
-  /// Analytical estimates served (estimate/estimateAll calls).
-  int64_t estimates() const;
-  /// Probe synthesis runs spent building the estimator (0 or 2).
-  int64_t probeRuns() const;
   size_t cacheSize() const;
 
   /// Snapshot of all completed cache entries as (config key, QoR) in key
@@ -128,7 +97,6 @@ private:
   };
 
   QoR runFlow(const flow::KernelConfig &config, const std::string &key);
-  void seedProbe(const flow::KernelConfig &config, const QoR &qor);
 
   const flow::KernelSpec *spec_;
   EvaluatorOptions options_;
@@ -140,16 +108,6 @@ private:
   int64_t synthRuns_ = 0;
   int64_t cacheHits_ = 0;
   int64_t cacheWaits_ = 0;
-  int64_t probeRuns_ = 0;
-  std::atomic<int64_t> estimates_{0};
-
-  // Lazy estimator; estimatorMutex_ serializes the probe build only, and
-  // estimatorReady_ lets the post-build fast path skip it entirely.
-  std::mutex estimatorMutex_;
-  bool estimatorBuilt_ = false;
-  std::atomic<bool> estimatorReady_{false};
-  std::string estimatorError_;
-  std::unique_ptr<QoREstimation> estimator_;
 };
 
 } // namespace mha::dse

@@ -338,8 +338,9 @@ bool lirBridgePrepare(FlowState &s) {
 // bridge text itself came from the cache, that is when a design is
 // synthesized again under another target: a design synthesized once never
 // pays for a graph (1.5-2 times the bytes of its bridge text), and its
-// first edit pays one elaboration. On a synth hit the module is left in its bridge state,
-// or still deferred (backend unrolling preserves semantics, so
+// first edit pays one elaboration. A synth hit replays the leg's
+// diagnostics (the graph's among them) and leaves the module in its bridge
+// state, or still deferred (backend unrolling preserves semantics, so
 // co-simulation is unaffected); only accepted reports are stored.
 
 bool graphRun(FlowState &s) {
@@ -393,9 +394,18 @@ bool synthRun(FlowState &s) {
 }
 
 bool synthRestore(FlowState &s, StageCache::Entry &entry) {
-  s.result.synth = std::get<vhls::SynthesisReport>(std::move(entry));
+  auto &cached = std::get<StageCache::SynthEntry>(entry);
+  s.result.synth = std::move(cached.report);
   s.result.synthFromCache = true;
+  for (Diagnostic &diag : cached.diagnostics)
+    s.diags.report(std::move(diag));
   return true;
+}
+
+StageCache::Entry synthEncode(FlowState &s) {
+  const std::vector<Diagnostic> &diags = s.diags.diagnostics();
+  return StageCache::SynthEntry{
+      s.result.synth, {diags.begin() + s.runDiagsFrom, diags.end()}};
 }
 
 using Stage = StageCache::Stage;
@@ -423,8 +433,7 @@ const StageDef kLirBridge{
 const StageDef kSynthStage{
     Stage::Synth, nullptr,
     [](FlowState &s) { return StageCache::synthKey(s.lirText, s.synthOpts); },
-    synthRun, synthRestore,
-    [](FlowState &s) { return StageCache::Entry(s.result.synth); }};
+    synthRun, synthRestore, synthEncode};
 
 // --- Executor -------------------------------------------------------------
 

@@ -70,8 +70,11 @@ int64_t payloadBytes(const StageCache::BridgeEntry &entry) {
   return n;
 }
 
-int64_t payloadBytes(const vhls::SynthesisReport &report) {
-  int64_t n = static_cast<int64_t>(sizeof(report) + report.topName.size());
+int64_t payloadBytes(const StageCache::SynthEntry &entry) {
+  const vhls::SynthesisReport &report = entry.report;
+  int64_t n = static_cast<int64_t>(sizeof(entry) + report.topName.size());
+  for (const Diagnostic &diag : entry.diagnostics)
+    n += static_cast<int64_t>(sizeof(diag) + diag.message.size());
   for (const auto &[name, value] : report.compat.violations)
     n += static_cast<int64_t>(name.size() + sizeof(value));
   for (const vhls::FunctionReport &fn : report.functions) {

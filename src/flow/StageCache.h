@@ -18,7 +18,8 @@
 //           FinalModule parses it on first use (a synth miss or a reader
 //           such as cosim), so a full warm hit builds no IR.
 //   Synth   key = H(lir text, synthesis options)
-//           value = the SynthesisReport
+//           value = SynthEntry: the SynthesisReport (+ the leg's
+//           diagnostics, replayed on a hit).
 //   Graph   key = H(lir text, applyUnrollDirectives)
 //           value = the module's vhls::ScheduleGraph, shared and
 //           immutable: a hit copies a pointer. Consulted only on a synth
@@ -82,11 +83,18 @@ public:
     std::vector<Diagnostic> diagnostics;
   };
 
+  /// Synth-stage output: the report plus the diagnostics the synthesis
+  /// leg reported (elaboration's acceptance-check warnings), replayed on
+  /// a hit. Grid designs report none, so a hit's replay is free there.
+  struct SynthEntry {
+    vhls::SynthesisReport report;
+    std::vector<Diagnostic> diagnostics;
+  };
+
   using GraphPtr = std::shared_ptr<const vhls::ScheduleGraph>;
 
   /// One cached stage output; `index()` is its Stage.
-  using Entry = std::variant<std::string, BridgeEntry, vhls::SynthesisReport,
-                             GraphPtr>;
+  using Entry = std::variant<std::string, BridgeEntry, SynthEntry, GraphPtr>;
 
   /// Structural hit/miss/bytes snapshot (mirrors the "flow.cache"
   /// statistics and the mha_stage_cache_* metrics). Byte totals count the
@@ -136,8 +144,13 @@ public:
   bool lookupBridge(uint64_t key, BridgeEntry &entry) {
     return lookupAs(Stage::Bridge, key, entry);
   }
+  /// The report of a synth entry (its diagnostics are dropped).
   bool lookupSynth(uint64_t key, vhls::SynthesisReport &report) {
-    return lookupAs(Stage::Synth, key, report);
+    SynthEntry entry;
+    if (!lookupAs(Stage::Synth, key, entry))
+      return false;
+    report = std::move(entry.report);
+    return true;
   }
 
   /// Synth-stage key: the printed pre-synthesis lir module plus every

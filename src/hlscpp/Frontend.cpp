@@ -239,6 +239,13 @@ struct PragmaInfo {
   std::optional<int64_t> unrollFactor;
 };
 
+/// The deepest the recursive descent goes: every parenthesized, unary,
+/// cast or conditional sub-expression and every loop body is one level
+/// (a parenthesis costs two: the expression and its operand). Far above
+/// what the emitter writes and above C's 63 parenthesis levels, and far
+/// below what a worker thread's stack holds even with sanitizer frames.
+constexpr int kMaxNestingDepth = 256;
+
 class Frontend {
 public:
   Frontend(std::string_view source, lir::LContext &ctx,
@@ -259,11 +266,37 @@ public:
   }
 
 private:
+  /// One level of recursive descent, held for the level's lifetime. Past
+  /// kMaxNestingDepth it reports one located error and every level after
+  /// it fails at once (`ok` false), so the parse unwinds without
+  /// descending further or piling up follow-on errors.
+  struct Nesting {
+    Frontend &fe;
+    bool ok;
+    explicit Nesting(Frontend &fe)
+        : fe(fe), ok(++fe.depth_ <= kMaxNestingDepth && !fe.tooDeep_) {
+      if (!ok && !fe.tooDeep_) {
+        fe.tooDeep_ = true;
+        fe.diags_.error(strfmt("hls-frontend: nesting deeper than %d levels",
+                               kMaxNestingDepth),
+                        fe.lex_.cur().loc);
+      }
+    }
+    ~Nesting() { --fe.depth_; }
+  };
+
+  /// Reports a parse error, except while a too-deep parse unwinds: its
+  /// one nesting error says all there is to say.
+  void error(std::string message, SrcLoc loc = {}) {
+    if (!tooDeep_)
+      diags_.error(std::move(message), loc);
+  }
+
   Token expect(Tok kind, const char *what) {
     if (lex_.cur().kind != kind) {
-      diags_.error(strfmt("hls-frontend: expected %s, got '%s'", what,
-                          lex_.cur().text.c_str()),
-                   lex_.cur().loc);
+      error(strfmt("hls-frontend: expected %s, got '%s'", what,
+                   lex_.cur().text.c_str()),
+            lex_.cur().loc);
       return Token{};
     }
     return lex_.take();
@@ -299,8 +332,7 @@ private:
   void parseFunction() {
     Token ret = expect(Tok::Ident, "'void'");
     if (ret.text != "void") {
-      diags_.error("hls-frontend: only void top functions are supported",
-                   ret.loc);
+      error("hls-frontend: only void top functions are supported", ret.loc);
       return;
     }
     Token name = expect(Tok::Ident, "function name");
@@ -318,8 +350,7 @@ private:
         Token typeTok = expect(Tok::Ident, "parameter type");
         lir::Type *elem = parseCType(typeTok.text);
         if (!elem) {
-          diags_.error("hls-frontend: unknown type " + typeTok.text,
-                       typeTok.loc);
+          error("hls-frontend: unknown type " + typeTok.text, typeTok.loc);
           return;
         }
         Token pname = expect(Tok::Ident, "parameter name");
@@ -409,7 +440,7 @@ private:
     Token name = expect(Tok::Ident, "identifier");
     auto it = vars_.find(name.text);
     if (it == vars_.end()) {
-      diags_.error("hls-frontend: unknown variable " + name.text, name.loc);
+      error("hls-frontend: unknown variable " + name.text, name.loc);
       return;
     }
     lir::Value *addr = parseLValueAddress(it->second);
@@ -498,7 +529,7 @@ private:
                                      ? Opcode::FPExt
                                      : Opcode::FPTrunc,
                                  value, to, "conv");
-    diags_.error("hls-frontend: cannot convert between types");
+    error("hls-frontend: cannot convert between types");
     return value;
   }
 
@@ -522,7 +553,10 @@ private:
       lhs = coerce(lhs, rhs->type());
   }
 
-  lir::Value *parseExpr() { return parseTernary(); }
+  lir::Value *parseExpr() {
+    Nesting nesting(*this);
+    return nesting.ok ? parseTernary() : nullptr;
+  }
 
   lir::Value *parseTernary() {
     lir::Value *cond = parseComparison();
@@ -602,6 +636,9 @@ private:
   }
 
   lir::Value *parseUnary() {
+    Nesting nesting(*this);
+    if (!nesting.ok)
+      return nullptr;
     if (accept(Tok::Minus)) {
       lir::Value *v = parseUnary();
       if (!v)
@@ -657,8 +694,7 @@ private:
         return parseCall(name.text);
       auto it = vars_.find(name.text);
       if (it == vars_.end()) {
-        diags_.error("hls-frontend: unknown variable " + name.text,
-                     name.loc);
+        error("hls-frontend: unknown variable " + name.text, name.loc);
         return nullptr;
       }
       const VarInfo &info = it->second;
@@ -667,9 +703,9 @@ private:
       lir::Value *addr = parseLValueAddress(info);
       return builder_.createLoad(info.valueType, addr, name.text + ".val");
     }
-    diags_.error(strfmt("hls-frontend: unexpected token '%s' in expression",
-                        t.text.c_str()),
-                 t.loc);
+    error(strfmt("hls-frontend: unexpected token '%s' in expression",
+                 t.text.c_str()),
+          t.loc);
     lex_.advance();
     return nullptr;
   }
@@ -701,13 +737,16 @@ private:
           lir::getHlsMathFunction(*module_, it->second, ctx_.doubleTy());
       return builder_.createCall(callee, callArgs, name);
     }
-    diags_.error("hls-frontend: call to unsupported function " + name);
+    error("hls-frontend: call to unsupported function " + name);
     return nullptr;
   }
 
   // --- loops & pragmas ---
 
   void parseFor() {
+    Nesting nesting(*this);
+    if (!nesting.ok)
+      return;
     lex_.advance(); // 'for'
     expect(Tok::LParen, "'('");
     Token intKw = expect(Tok::Ident, "'int'");
@@ -718,22 +757,19 @@ private:
     expect(Tok::Semi, "';'");
     Token condVar = expect(Tok::Ident, "loop variable");
     if (condVar.text != ivName.text)
-      diags_.error("hls-frontend: loop condition must test the loop var",
-                   condVar.loc);
+      error("hls-frontend: loop condition must test the loop var", condVar.loc);
     bool strict = true;
     if (accept(Tok::Lt))
       strict = true;
     else if (accept(Tok::Le))
       strict = false;
     else
-      diags_.error("hls-frontend: loop condition must be < or <=",
-                   lex_.cur().loc);
+      error("hls-frontend: loop condition must be < or <=", lex_.cur().loc);
     lir::Value *bound = parseExpr();
     expect(Tok::Semi, "';'");
     Token stepVar = expect(Tok::Ident, "loop variable");
     if (stepVar.text != ivName.text)
-      diags_.error("hls-frontend: loop step must update the loop var",
-                   stepVar.loc);
+      error("hls-frontend: loop step must update the loop var", stepVar.loc);
     expect(Tok::PlusAssign, "'+='");
     lir::Value *step = parseExpr();
     expect(Tok::RParen, "')'");
@@ -882,6 +918,8 @@ private:
   lir::Function *fn_ = nullptr;
   std::map<std::string, VarInfo> vars_;
   std::map<std::string, unsigned> argIndexByName_;
+  int depth_ = 0;        // current recursive-descent depth (see Nesting)
+  bool tooDeep_ = false; // kMaxNestingDepth was exceeded
 };
 
 } // namespace

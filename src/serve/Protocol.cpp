@@ -138,9 +138,6 @@ ParsedRequest parseRequest(const std::string &line) {
     } else if (key == "directives") {
       if (!boolField(value, "directives", req.config.applyDirectives, error))
         return fail(errc::BadRequest, error, id);
-    } else if (key == "estimate") {
-      if (!boolField(value, "estimate", req.estimate, error))
-        return fail(errc::BadRequest, error, id);
     } else {
       return fail(errc::BadRequest, strfmt("unknown field '%s'", key.c_str()),
                   id);
@@ -216,15 +213,6 @@ ParsedRequest parseRequest(const std::string &line) {
                        flowName.c_str()),
                 req.id);
 
-  if (req.estimate && sawMlir)
-    return fail(errc::BadRequest,
-                "estimate requests need a named kernel (inline MLIR has no "
-                "design space)",
-                req.id);
-  if (req.estimate && req.flowKind != flow::FlowKind::Adaptor)
-    return fail(errc::BadRequest,
-                "estimate requests use the adaptor flow", req.id);
-
   return ParsedRequest{true, std::move(req), "", ""};
 }
 
@@ -244,10 +232,9 @@ std::string renderCompileRequest(const std::string &id, const Request &req) {
                  static_cast<long long>(req.config.pipelineII),
                  static_cast<long long>(req.config.unrollFactor),
                  static_cast<long long>(req.config.partitionFactor));
-  line += strfmt(", \"dataflow\": %s, \"directives\": %s, \"estimate\": %s}",
+  line += strfmt(", \"dataflow\": %s, \"directives\": %s}",
                  req.config.dataflow ? "true" : "false",
-                 req.config.applyDirectives ? "true" : "false",
-                 req.estimate ? "true" : "false");
+                 req.config.applyDirectives ? "true" : "false");
   return line;
 }
 
@@ -291,21 +278,6 @@ std::string renderResult(const std::string &id, const Request &req,
     line += strfmt(", \"hls_cpp\": \"%s\"",
                    json::escape(result.hlsCpp).c_str());
   line += "}";
-  return line;
-}
-
-std::string renderEstimateResult(const std::string &id, const Request &req,
-                                 int64_t latencyCycles, int64_t dsp,
-                                 int64_t bram, int64_t lut, int64_t ff) {
-  std::string line = head(id, "result");
-  line += strfmt(", \"ok\": true, \"estimate\": true, \"kernel\": \"%s\", "
-                 "\"flow\": \"%s\"",
-                 json::escape(req.kernel).c_str(), flowWireName(req.flowKind));
-  line += strfmt(", \"latency_cycles\": %lld, \"dsp\": %lld, \"bram\": "
-                 "%lld, \"lut\": %lld, \"ff\": %lld}",
-                 static_cast<long long>(latencyCycles),
-                 static_cast<long long>(dsp), static_cast<long long>(bram),
-                 static_cast<long long>(lut), static_cast<long long>(ff));
   return line;
 }
 

@@ -8,7 +8,7 @@
 // Request shape:
 //   {"schema":"mha.serve.req.v1","id":"r1","type":"compile",
 //    "kernel":"gemm","flow":"adaptor","ii":1,"unroll":2,"partition":2,
-//    "dataflow":false,"directives":true,"estimate":false}
+//    "dataflow":false,"directives":true}
 //   {"schema":"mha.serve.req.v1","id":"r2","type":"compile",
 //    "mlir":"module { ... }","top":"gemm"}
 //   {"schema":"mha.serve.req.v1","id":"r1","type":"cancel"}   (id = target)
@@ -76,8 +76,6 @@ struct Request {
   std::string top;
   flow::FlowKind flowKind = flow::FlowKind::Adaptor;
   flow::KernelConfig config;
-  /// Analytical QoR estimation instead of synthesis (DSE probe path).
-  bool estimate = false;
 };
 
 /// Outcome of parsing one request line. When !ok, `errorCode` is
@@ -106,10 +104,6 @@ std::string renderStage(const std::string &id, const char *stage);
 /// The deterministic result event for a finished flow (see file comment).
 std::string renderResult(const std::string &id, const Request &req,
                          const flow::FlowResult &result);
-/// Estimate-only result event (analytical QoR, no synthesis report).
-std::string renderEstimateResult(const std::string &id, const Request &req,
-                                 int64_t latencyCycles, int64_t dsp,
-                                 int64_t bram, int64_t lut, int64_t ff);
 /// `withAvailableKernels` appends the "available_kernels" array — set for
 /// errc::UnknownKernel so a misspelled name teaches the valid ones
 /// structurally (not just on some tool's stderr).

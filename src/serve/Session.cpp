@@ -1,6 +1,5 @@
 #include "serve/Session.h"
 
-#include "dse/Evaluator.h"
 #include "flow/Flow.h"
 #include "flow/Kernels.h"
 #include "mir/MContext.h"
@@ -48,33 +47,6 @@ SessionOutcome finishFlow(const Request &req, const flow::FlowResult &result,
   return outcome;
 }
 
-SessionOutcome runEstimate(const Request &req, const flow::KernelSpec &spec,
-                           const SessionOptions &options,
-                           const std::atomic<bool> *cancelFlag,
-                           const Emit &emit) {
-  // The estimator's probe runs are real flows — they stream stage events
-  // and share the StageCache like any other compile.
-  dse::EvaluatorOptions eo;
-  eo.numThreads = 1;
-  eo.flow = makeFlowOptions(req, options, cancelFlag, emit);
-  dse::Evaluator evaluator(spec, eo);
-  dse::QoR qor = evaluator.estimate(req.config);
-  SessionOutcome outcome;
-  if (!qor.ok) {
-    bool cancelled =
-        cancelFlag && cancelFlag->load(std::memory_order_relaxed);
-    outcome.code = cancelled ? errc::Cancelled : errc::FlowError;
-    emit(renderError(req.id, outcome.code,
-                     qor.error.empty() ? "estimation failed"
-                                       : firstLine(qor.error)));
-    return outcome;
-  }
-  outcome.ok = true;
-  emit(renderEstimateResult(req.id, req, qor.latencyCycles, qor.dsp,
-                            qor.bram, qor.lut, qor.ff));
-  return outcome;
-}
-
 } // namespace
 
 std::string inlineKernelName(const std::string &mlirText) {
@@ -100,8 +72,6 @@ SessionOutcome runSession(const Request &req, const SessionOptions &options,
                        /*withAvailableKernels=*/true));
       return outcome;
     }
-    if (req.estimate)
-      return runEstimate(req, *spec, options, cancelFlag, emit);
     flow::FlowOptions fo = makeFlowOptions(req, options, cancelFlag, emit);
     flow::FlowResult result =
         flow::runFlow(req.flowKind, *spec, req.config, fo);

@@ -1,15 +1,12 @@
 // Estimate.h - the latency / II / resource algebra of the virtual HLS
 // backend, factored out of the scheduler.
 //
-// The scheduler computes *exact* schedules; the DSE QoR estimator predicts
-// them analytically from loop structure alone. Both must agree on the
-// underlying algebra — how a pipelined loop's total latency follows from
-// its depth, trip count and II, how port pressure and allocation limits
-// bound the II, how FU demand follows from op counts, and what the control
-// FSM and partitioned memories cost. Keeping the formulas here (and
-// calling them from Scheduler.cpp) makes "derived from the same
-// constraints the scheduler enforces" a structural property instead of a
-// copy that can drift.
+// How a pipelined loop's total latency follows from its depth, trip count
+// and II, how port pressure and allocation limits bound the II, how FU
+// demand follows from op counts, and what the control FSM and partitioned
+// memories cost: the closed forms the scheduler (Scheduler.cpp) applies
+// to the schedules it computes, kept apart from the scheduling itself so
+// each formula is stated once.
 #pragma once
 
 #include "vhls/TechLibrary.h"

@@ -1,9 +1,8 @@
 // Tests for the design-space exploration subsystem: space enumeration and
 // canonicalization, the QoR cache (no re-synthesis, JSON round-trip), the
-// Pareto archive, and the search strategies (exhaustive frontier
-// exactness vs the legacy hand-rolled sweep, refine's containment).
+// Pareto archive, and the run driver (frontier exactness vs the legacy
+// hand-rolled sweep, the budget, the report, the --resume warm start).
 #include "dse/Dse.h"
-#include "dse/QoREstimation.h"
 #include "lir/transforms/LoopUnroll.h"
 #include "support/Json.h"
 
@@ -241,46 +240,22 @@ TEST(Evaluator, LoadCacheRejectsForeignDocuments) {
 }
 
 // ---------------------------------------------------------------------------
-// Strategies
-
-TEST(Strategies, FactoryKnowsAllNamesRejectsUnknown) {
-  EXPECT_EQ(strategyNames(),
-            (std::vector<std::string>{"exhaustive", "refine"}));
-  DesignSpace space(kernel("fir"), smallGrid());
-  Evaluator evaluator(kernel("fir"));
-  for (const std::string &name : strategyNames()) {
-    ParetoArchive archive(defaultObjectives());
-    std::optional<StrategyResult> result =
-        runStrategy(name, space, evaluator, archive, {});
-    ASSERT_TRUE(result.has_value()) << name;
-    EXPECT_FALSE(result->visited.empty()) << name;
-    EXPECT_FALSE(archive.entries().empty()) << name;
-  }
-  for (const char *removed : {"random", "greedy", "genetic", "anneal", ""}) {
-    ParetoArchive archive(defaultObjectives());
-    EXPECT_FALSE(
-        runStrategy(removed, space, evaluator, archive, {}).has_value())
-        << removed;
-    EXPECT_TRUE(archive.entries().empty()) << removed;
-  }
-}
+// Search: every enumerated point, truncated to the budget
 
 TEST(Strategies, ExhaustiveReproducesLegacyExampleFrontier) {
   DesignSpace space(kernel("fir"), smallGrid());
   Evaluator evaluator(kernel("fir"));
-  std::optional<DseResult> result =
-      runDse(space, evaluator, "exhaustive", {}, latencyDspObjectives());
-  ASSERT_TRUE(result.has_value());
-  ASSERT_EQ(result->visited.size(), space.size());
+  DseResult result = runDse(space, evaluator, {}, latencyDspObjectives());
+  ASSERT_EQ(result.visited.size(), space.size());
 
   // The hand-rolled frontier rule: p survives iff no q is no-worse on
   // (latency, dsp) and strictly better on one.
   std::set<std::string> legacy;
-  for (const VisitedPoint &p : result->visited) {
+  for (const VisitedPoint &p : result.visited) {
     if (!p.qor.ok)
       continue;
     bool dominated = std::any_of(
-        result->visited.begin(), result->visited.end(),
+        result.visited.begin(), result.visited.end(),
         [&](const VisitedPoint &q) {
           if (!q.qor.ok || &q == &p)
             return false;
@@ -293,65 +268,50 @@ TEST(Strategies, ExhaustiveReproducesLegacyExampleFrontier) {
     if (!dominated)
       legacy.insert(configKey(p.config));
   }
-  EXPECT_EQ(archiveKeys(result->pareto), legacy);
+  EXPECT_EQ(archiveKeys(result.pareto), legacy);
 }
 
 TEST(Strategies, BudgetBoundsEvaluatorRequests) {
   DesignSpace space(kernel("fir"), smallGrid());
   Evaluator evaluator(kernel("fir"));
-  StrategyOptions options;
+  DseOptions options;
   options.budget = 3;
-  std::optional<DseResult> result =
-      runDse(space, evaluator, "exhaustive", options);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->visited.size(), 3u);
-  EXPECT_EQ(result->evaluated, 3u);
+  DseResult result = runDse(space, evaluator, options);
+  EXPECT_EQ(result.visited.size(), 3u);
+  EXPECT_EQ(result.evaluated, 3u);
 }
 
 // ---------------------------------------------------------------------------
 // Run driver / report JSON
 
-TEST(Dse, UnknownStrategyReturnsNullopt) {
-  DesignSpace space(kernel("fir"), smallGrid());
-  Evaluator evaluator(kernel("fir"));
-  EXPECT_FALSE(runDse(space, evaluator, "frobnicate", {}).has_value());
-}
-
 TEST(Dse, ReportJsonValidatesAndCarriesTheRun) {
   DesignSpace space(kernel("fir"), smallGrid());
   Evaluator evaluator(kernel("fir"));
-  std::optional<DseResult> result = runDse(space, evaluator, "exhaustive", {});
-  ASSERT_TRUE(result.has_value());
-  std::string text = result->json();
+  DseResult result = runDse(space, evaluator, {});
+  std::string text = result.json();
   std::string error;
   ASSERT_TRUE(json::validate(text, &error)) << error;
 
   std::optional<json::Value> doc = json::parse(text, &error);
   ASSERT_TRUE(doc.has_value()) << error;
-  EXPECT_EQ(doc->get("schema")->asString(), "mha.dse.v2");
+  EXPECT_EQ(doc->get("schema")->asString(), "mha.dse.v3");
   EXPECT_EQ(doc->get("seed"), nullptr);
   EXPECT_EQ(doc->get("kernel")->asString(), "fir");
-  EXPECT_EQ(doc->get("strategy")->asString(), "exhaustive");
   EXPECT_EQ(doc->get("space_size")->asInt(), 8);
   ASSERT_NE(doc->get("points"), nullptr);
-  EXPECT_EQ(doc->get("points")->elements().size(), result->visited.size());
+  EXPECT_EQ(doc->get("points")->elements().size(), result.visited.size());
   ASSERT_NE(doc->get("pareto"), nullptr);
-  EXPECT_EQ(doc->get("pareto")->elements().size(), result->pareto.size());
+  EXPECT_EQ(doc->get("pareto")->elements().size(), result.pareto.size());
   const json::Value &point = doc->get("points")->elements().front();
   for (const char *field : {"ii", "unroll", "partition", "latency", "dsp",
                             "bram", "lut", "ff"})
     EXPECT_NE(point.get(field), nullptr) << field;
 
-  // The estimator/warm-start accounting fields are always present.
-  for (const char *field :
-       {"estimated", "warm_started", "cache_waits", "estimator"})
+  // Schema v3: cache accounting, no strategy or estimator fields.
+  for (const char *field : {"warm_started", "cache_waits"})
     EXPECT_NE(doc->get(field), nullptr) << field;
-  const json::Value *estimator = doc->get("estimator");
-  for (const char *field :
-       {"used", "probe_runs", "estimates", "error_samples",
-        "latency_mean_abs_pct", "latency_max_abs_pct", "dsp_mean_abs_pct",
-        "bram_mean_abs_pct", "lut_mean_abs_pct"})
-    EXPECT_NE(estimator->get(field), nullptr) << field;
+  for (const char *field : {"strategy", "estimated", "estimator"})
+    EXPECT_EQ(doc->get(field), nullptr) << field;
 }
 
 // ---------------------------------------------------------------------------
@@ -380,8 +340,7 @@ TEST(Dse, WarmStartReseedsArchiveFromCache) {
 
   // First run: exhaustive, populating the cache (as --cache would persist).
   Evaluator first(kernel("fir"));
-  std::optional<DseResult> full = runDse(space, first, "exhaustive", {});
-  ASSERT_TRUE(full.has_value());
+  DseResult full = runDse(space, first, {});
 
   // Second run resumes from the same cache with a tiny budget. Without
   // warm start the archive would only hold the single visited point; with
@@ -389,53 +348,15 @@ TEST(Dse, WarmStartReseedsArchiveFromCache) {
   Evaluator second(kernel("fir"));
   std::string error;
   ASSERT_TRUE(second.loadCacheJson(first.cacheJson(), &error)) << error;
-  StrategyOptions options;
+  DseOptions options;
   options.budget = 1;
   options.warmStart = true;
-  std::optional<DseResult> resumed =
-      runDse(space, second, "exhaustive", options);
-  ASSERT_TRUE(resumed.has_value());
-  EXPECT_GT(resumed->warmStarted, 0u);
-  EXPECT_EQ(resumed->evaluated, 1u);
-  EXPECT_EQ(archiveKeys(resumed->pareto), archiveKeys(full->pareto));
+  DseResult resumed = runDse(space, second, options);
+  EXPECT_GT(resumed.warmStarted, 0u);
+  EXPECT_EQ(resumed.evaluated, 1u);
+  EXPECT_EQ(archiveKeys(resumed.pareto), archiveKeys(full.pareto));
   // And the resumed run performed no synthesis at all (all cached).
   EXPECT_EQ(second.synthRuns(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Estimator-guided strategies
-
-TEST(Strategies, RefineFrontierContainsExhaustiveFrontier) {
-  DesignSpace space(kernel("fir"), smallGrid());
-  Evaluator exhaustiveEval(kernel("fir"));
-  std::optional<DseResult> full =
-      runDse(space, exhaustiveEval, "exhaustive", {});
-  ASSERT_TRUE(full.has_value());
-
-  Evaluator refineEval(kernel("fir"));
-  std::optional<DseResult> refined = runDse(space, refineEval, "refine", {});
-  ASSERT_TRUE(refined.has_value());
-  EXPECT_GT(refined->estimated, 0u);
-
-  std::set<std::string> refinedKeys = archiveKeys(refined->pareto);
-  for (const ArchiveEntry &entry : full->pareto)
-    EXPECT_TRUE(refinedKeys.count(entry.key))
-        << entry.key << " on the exhaustive frontier but not refine's";
-}
-
-TEST(Strategies, EstimateOnlySynthesizesOnlyTheProbes) {
-  DesignSpace space(kernel("fir"), smallGrid());
-  Evaluator evaluator(kernel("fir"));
-  StrategyOptions options;
-  options.estimateOnly = true;
-  std::optional<DseResult> result =
-      runDse(space, evaluator, "exhaustive", options);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->evaluated, space.size());
-  EXPECT_EQ(result->estimated, space.size());
-  EXPECT_EQ(evaluator.synthRuns(), QoREstimation::kProbeRuns);
-  EXPECT_GE(evaluator.estimates(), static_cast<int64_t>(space.size()));
-  EXPECT_FALSE(result->pareto.empty());
 }
 
 TEST(Evaluator, CacheWaitCounterStartsAtZeroAndHitsDoNotWait) {

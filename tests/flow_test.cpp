@@ -772,6 +772,39 @@ entry:
   StageCache::global().clear();
 }
 
+// A synth hit replays the synthesis leg's diagnostics: a full warm hit of
+// a direct-LIR input with a flat GEP reports the elaboration's warning next
+// to the bridge's, exactly like the cold run that stored both entries.
+TEST(Flow, SynthHitReplaysSynthesisDiagnostics) {
+  const std::string flatGep = R"(
+define void @k(double* %p, i64 %n) {
+entry:
+  %addr = getelementptr double, double* %p, i64 %n
+  %v = load double, double* %addr
+  %d = fmul double %v, 2.0
+  store double %d, double* %addr
+  ret void
+}
+)";
+  StageCache::global().clear();
+  FlowOptions cached;
+  cached.useStageCache = true;
+  FlowResult cold = runLirAdaptorFlow(flatGep, "k", cached);
+  ASSERT_TRUE(cold.ok) << cold.diagnostics;
+  const std::string warning = "hls-frontend: flat pointer-arithmetic GEP";
+  size_t first = cold.diagnostics.find(warning);
+  ASSERT_NE(first, std::string::npos) << cold.diagnostics;
+  ASSERT_NE(cold.diagnostics.find(warning, first + 1), std::string::npos)
+      << cold.diagnostics;
+
+  FlowResult hit = runLirAdaptorFlow(flatGep, "k", cached);
+  ASSERT_TRUE(hit.ok) << hit.diagnostics;
+  EXPECT_TRUE(hit.synthFromCache);
+  EXPECT_EQ(StageCache::global().counters().synthHits, 1);
+  EXPECT_EQ(hit.diagnostics, cold.diagnostics);
+  StageCache::global().clear();
+}
+
 // The lir parser lays blocks out in definition order, so printing is a
 // fixed point of print(parse(.)) on every grid design's bridge text in
 // both flows (a block first mentioned by a forward branch or a phi used

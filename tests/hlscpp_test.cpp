@@ -13,6 +13,7 @@
 #include "mir/Builder.h"
 #include "mir/Pass.h"
 #include "mir/transforms/MirTransforms.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -358,4 +359,55 @@ void k(double a[1]) {
                                     ctx, diags);
   EXPECT_EQ(module, nullptr);
   EXPECT_TRUE(diags.hadError());
+}
+
+// Regression: the recursive descent had no depth limit, so 10,000 nested
+// parentheses overflowed a pool worker's stack (SIGSEGV). Every recursive
+// shape (parentheses, unary minus, casts, loop bodies) now stops at the
+// frontend's nesting limit with one located error and a null module,
+// while the 63 parenthesis levels C guarantees still parse.
+TEST(HlsFrontend, DeepNestingIsATypedErrorOnAPoolThread) {
+  auto repeat = [](const char *piece, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i)
+      out += piece;
+    return out;
+  };
+  ThreadPool pool(1);
+  auto parseOnPool = [&](const std::string &source, DiagnosticEngine &diags) {
+    bool parsed = false;
+    pool.submit([&] {
+      lir::LContext ctx;
+      parsed = hlscpp::parseHlsCpp(source, ctx, diags) != nullptr;
+    });
+    pool.wait();
+    return parsed;
+  };
+
+  DiagnosticEngine cDepth;
+  EXPECT_TRUE(parseOnPool("void k(int A[1]) { A[0] = " + repeat("(", 63) +
+                              "1" + repeat(")", 63) + "; }",
+                          cDepth))
+      << cDepth.str();
+
+  constexpr int kDepth = 10000;
+  const std::vector<std::string> sources = {
+      "void k(int A[1]) { A[0] = " + repeat("(", kDepth) + "1" +
+          repeat(")", kDepth) + "; }",
+      "void k(int A[1]) { A[0] = " + repeat("- ", kDepth) + "1; }",
+      "void k(int A[1]) { A[0] = " + repeat("(int)", kDepth) + "1; }",
+      "void k(int A[1]) { " +
+          repeat("for (int i = 0; i < 2; i += 1) { ", kDepth) + "A[0] = 1;" +
+          repeat(" }", kDepth) + " }"};
+  for (const std::string &source : sources) {
+    DiagnosticEngine diags;
+    EXPECT_FALSE(parseOnPool(source, diags)) << source.substr(0, 40);
+    ASSERT_EQ(diags.errorCount(), 1u) << diags.str();
+    const Diagnostic &error = diags.diagnostics().front();
+    EXPECT_NE(error.message.find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << error.message;
+    EXPECT_EQ(error.loc.line, 1);
+    EXPECT_GT(error.loc.col, 20);
+  }
 }

@@ -170,7 +170,7 @@ TEST(ServeProtocol, RejectsOutOfRangeKnobsAndWrongTypes) {
                    .ok);
   EXPECT_FALSE(parseRequest("{\"schema\": \"mha.serve.req.v1\", \"id\": "
                             "\"k\", \"type\": \"compile\", \"kernel\": "
-                            "\"fir\", \"estimate\": \"yes\"}")
+                            "\"fir\", \"dataflow\": \"yes\"}")
                    .ok);
 }
 
@@ -220,7 +220,6 @@ TEST(ServeProtocol, EveryRenderedEventValidatesAsJson) {
   for (const std::string &line :
        {renderAccepted("r", 3), renderStage("r", "synth"),
         renderResult("r", req, result),
-        renderEstimateResult("r", req, 100, 1, 2, 3, 4),
         renderError("r", errc::UnknownKernel, "nope", true),
         renderDone("r", true, "", true, 10, 20), renderPong("r"),
         renderCancelAck("r", false), renderShutdownAck("r"),
@@ -572,21 +571,27 @@ TEST(ServeServer, MalformedLineGetsTypedParseError) {
   server.stop();
 }
 
-TEST(ServeServer, EstimateRequestReturnsAnalyticalQoR) {
-  flow::StageCache::global().clear();
+// The v1 request schema has no "estimate" field: a frame that still
+// carries one gets the strict parser's typed bad_request, and the
+// connection stays usable.
+TEST(ServeServer, EstimateFieldGetsTypedBadRequest) {
   std::string socket = testSocketPath();
   Server server(testOptions(socket));
   ASSERT_TRUE(server.start());
   Client client;
   ASSERT_TRUE(client.connect(socket));
-  Request req = compileRequest("est", "fir", 2);
-  req.estimate = true;
-  Client::CompileOutcome outcome = client.runCompile(req);
-  ASSERT_TRUE(outcome.transportOk) << outcome.error;
-  EXPECT_TRUE(outcome.ok) << outcome.error;
-  EXPECT_NE(outcome.resultLine.find("\"estimate\": true"),
-            std::string::npos);
-  EXPECT_GT(jsonInt(outcome.resultLine, "latency_cycles"), 0);
+  ASSERT_TRUE(client.sendLine(
+      "{\"schema\": \"mha.serve.req.v1\", \"id\": \"est\", \"type\": "
+      "\"compile\", \"kernel\": \"fir\", \"estimate\": true}"));
+  std::string line;
+  ASSERT_TRUE(client.readLine(line));
+  EXPECT_NE(line.find("\"error\""), std::string::npos) << line;
+  EXPECT_NE(line.find(errc::BadRequest), std::string::npos) << line;
+  EXPECT_NE(line.find("unknown field 'estimate'"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"id\": \"est\""), std::string::npos) << line;
+  ASSERT_TRUE(client.readLine(line));
+  EXPECT_NE(line.find("\"done\""), std::string::npos) << line;
+  EXPECT_TRUE(client.ping("still-alive"));
   server.stop();
 }
 

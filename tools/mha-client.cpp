@@ -2,7 +2,7 @@
 //
 //   mha-client --socket=<path> --kernel=<name> [--flow=adaptor|hls-cpp]
 //              [--ii=N] [--unroll=N] [--partition=N] [--dataflow]
-//              [--no-directives] [--estimate] [--id=<id>] [--quiet]
+//              [--no-directives] [--id=<id>] [--quiet]
 //   mha-client --socket=<path> --mlir-file=<path> [--top=<fn>]
 //              [flow/knob flags]
 //   mha-client --socket=<path> --ping | --shutdown
@@ -35,7 +35,7 @@ int usage() {
       "                  synthesize; required for multi-function modules)\n"
       "                  [--flow=adaptor|hls-cpp] [--ii=N] [--unroll=N]\n"
       "                  [--partition=N] [--dataflow] [--no-directives]\n"
-      "                  [--estimate] [--id=<id>] [--quiet]\n"
+      "                  [--id=<id>] [--quiet]\n"
       "       mha-client --socket=<path> --ping | --shutdown\n");
   return 2;
 }
@@ -102,8 +102,6 @@ int main(int argc, char **argv) {
       req.config.dataflow = true;
     else if (arg == "--no-directives")
       req.config.applyDirectives = false;
-    else if (arg == "--estimate")
-      req.estimate = true;
     else if (startsWith(arg, "--id="))
       id = arg.substr(5);
     else if (arg == "--ping")

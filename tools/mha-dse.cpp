@@ -1,8 +1,6 @@
 // mha-dse - design-space exploration over the adaptor flow.
 //
-//   mha-dse --kernel=NAME [--strategy=exhaustive|refine]
-//           [--budget=N] [--estimate-budget=N] [--estimate-only]
-//           [--threads=N] [--cosim]
+//   mha-dse --kernel=NAME [--budget=N] [--threads=N] [--cosim]
 //           [--ii=0,1,2] [--unroll=1,2,4,8] [--partition=1,2,4,8]
 //           [--no-dataflow] [--json=out.json] [--cache=qor.json]
 //           [--resume] [--chrome-trace=out.json] [--stats]
@@ -10,24 +8,17 @@
 // Enumerates the kernel's valid directive design space (unroll factors
 // clamped to divisors of the innermost trip count, dataflow only on
 // multi-nest kernels, all-default knobs folded into the unoptimized
-// baseline), searches it with the chosen strategy, and prints every
-// visited point with the Pareto-archive members marked. Evaluations run
+// baseline), synthesizes every point (the first N with --budget=N), and
+// prints each one with the Pareto-archive members marked. Evaluations run
 // in parallel on a thread pool behind a config-keyed QoR cache;
 // --cache=FILE persists the cache (schema "mha.dse.cache.v1") and
 // --resume pre-loads it, re-seeds the Pareto archive from the cached
 // points, and skips synthesis for every point already measured.
 //
-// The refine strategy is estimator-guided: it scores every point with the
-// analytical QoR estimator (two probe synthesis runs, then arithmetic)
-// and synthesizes only the points its slack rule cannot rule off the
-// frontier; --estimate-budget caps the analytical work. --estimate-only
-// (either strategy) skips synthesis beyond the probes entirely (the
-// archive then holds predictions). Every run reports the estimator's
-// measured error against its synthesized points, on stdout and in the
-// JSON. --json=FILE writes the run (visited points + Pareto archive,
-// schema "mha.dse.v2"); --chrome-trace/--stats
-// expose the telemetry layer like the other tools. Exit status 0 iff
-// every visited point synthesized (and co-simulated, with --cosim).
+// --json=FILE writes the run (visited points + Pareto archive, schema
+// "mha.dse.v3"); --chrome-trace/--stats expose the telemetry layer like
+// the other tools. Exit status 0 iff every visited point synthesized (and
+// co-simulated, with --cosim).
 #include "ObservabilityCli.h"
 
 #include "dse/Dse.h"
@@ -35,7 +26,6 @@
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -46,9 +36,7 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: mha-dse --kernel=NAME [--strategy=exhaustive|refine]\n"
-      "               [--budget=N] [--estimate-budget=N] [--estimate-only]\n"
-      "               [--threads=N] [--cosim]\n"
+      "usage: mha-dse --kernel=NAME [--budget=N] [--threads=N] [--cosim]\n"
       "               [--ii=0,1,2] [--unroll=1,2,4,8] [--partition=1,2,4,8]\n"
       "               [--no-dataflow] [--json=out.json] [--cache=qor.json]\n"
       "               [--resume] [--chrome-trace=out.json] [--stats]\n"
@@ -103,11 +91,9 @@ bool parseListFlag(const std::string &arg, size_t prefixLen,
 
 int main(int argc, char **argv) {
   std::string kernelName;
-  std::string strategyName = "exhaustive";
   std::string jsonPath, cachePath, chromeTracePath;
   bool resume = false, cosim = false, statsFlag = false;
-  bool estimateOnly = false;
-  int64_t budget = 0, estimateBudget = 0, threads = 0;
+  int64_t budget = 0, threads = 0;
   dse::DesignSpaceOptions spaceOptions;
 
   obscli::Options obsOptions;
@@ -119,18 +105,10 @@ int main(int argc, char **argv) {
         return usage();
     } else if (startsWith(arg, "--kernel="))
       kernelName = arg.substr(9);
-    else if (startsWith(arg, "--strategy="))
-      strategyName = arg.substr(11);
     else if (startsWith(arg, "--budget=")) {
       if (!parseNumericFlag(arg, 9, "--budget", 0, 1 << 30, budget))
         return usage();
-    } else if (startsWith(arg, "--estimate-budget=")) {
-      if (!parseNumericFlag(arg, 18, "--estimate-budget", 0, 1 << 30,
-                            estimateBudget))
-        return usage();
-    } else if (arg == "--estimate-only")
-      estimateOnly = true;
-    else if (startsWith(arg, "--threads=")) {
+    } else if (startsWith(arg, "--threads=")) {
       if (!parseNumericFlag(arg, 10, "--threads", 0, 4096, threads))
         return usage();
     } else if (startsWith(arg, "--ii=")) {
@@ -199,12 +177,6 @@ int main(int argc, char **argv) {
     }
     return 2;
   }
-  const std::vector<std::string> &names = dse::strategyNames();
-  if (std::find(names.begin(), names.end(), strategyName) == names.end()) {
-    std::fprintf(stderr, "unknown strategy '%s' (available: %s)\n",
-                 strategyName.c_str(), joinStrings(names, ", ").c_str());
-    return 2;
-  }
   if (resume && cachePath.empty()) {
     std::fprintf(stderr, "--resume requires --cache=FILE\n");
     return 2;
@@ -239,39 +211,30 @@ int main(int argc, char **argv) {
     }
   }
 
-  dse::StrategyOptions searchOptions;
+  dse::DseOptions searchOptions;
   searchOptions.budget = static_cast<size_t>(budget);
-  searchOptions.estimateBudget = static_cast<size_t>(estimateBudget);
-  searchOptions.estimateOnly = estimateOnly;
   searchOptions.warmStart = resume;
 
-  std::printf("exploring %s: %zu valid points (min innermost trip %lld%s), "
-              "strategy %s\n\n",
+  std::printf("exploring %s: %zu valid points (min innermost trip %lld%s)"
+              "\n\n",
               spec->name.c_str(), space.size(),
               static_cast<long long>(space.minInnermostTripCount()),
-              space.multiNest() ? ", multi-nest" : "",
-              strategyName.c_str());
+              space.multiNest() ? ", multi-nest" : "");
 
   elog::info("dse", "exploration starting",
              {{"kernel", spec->name},
-              {"strategy", strategyName},
               {"points", strfmt("%zu", space.size())}});
-  std::optional<dse::DseResult> result =
-      dse::runDse(space, evaluator, strategyName, searchOptions);
-  if (!result) { // the name was checked against strategyNames() above
-    std::fprintf(stderr, "unknown strategy '%s'\n", strategyName.c_str());
-    return 1;
-  }
+  const dse::DseResult result = dse::runDse(space, evaluator, searchOptions);
   elog::info("dse", "exploration finished",
              {{"kernel", spec->name},
-              {"evaluated", strfmt("%zu", result->evaluated)},
-              {"pareto", strfmt("%zu", result->pareto.size())}});
+              {"evaluated", strfmt("%zu", result.evaluated)},
+              {"pareto", strfmt("%zu", result.pareto.size())}});
 
   std::printf("%-4s %-7s %-10s %-9s %12s %6s %6s %8s %8s  %s\n", "II",
               "unroll", "partition", "dataflow", "latency", "DSP", "BRAM",
               "LUT", "FF", "");
   int failures = 0;
-  for (const dse::VisitedPoint &point : result->visited) {
+  for (const dse::VisitedPoint &point : result.visited) {
     if (!point.qor.ok || !point.qor.cosimOk) {
       std::printf("%-4lld %-7lld %-10lld %-9s %s\n",
                   static_cast<long long>(point.config.pipelineII),
@@ -283,7 +246,7 @@ int main(int argc, char **argv) {
       continue;
     }
     bool pareto = false;
-    for (const dse::ArchiveEntry &entry : result->pareto)
+    for (const dse::ArchiveEntry &entry : result.pareto)
       if (entry.key == dse::configKey(point.config))
         pareto = true;
     std::printf("%-4lld %-7lld %-10lld %-9s %12lld %6lld %6lld %8lld "
@@ -302,30 +265,15 @@ int main(int argc, char **argv) {
 
   std::printf("\n%zu/%zu points evaluated (%lld synthesized, %lld cache "
               "hits), %zu on the Pareto frontier\n",
-              result->evaluated, result->spaceSize,
-              static_cast<long long>(result->synthRuns),
-              static_cast<long long>(result->cacheHits),
-              result->pareto.size());
-  if (result->warmStarted > 0)
+              result.evaluated, result.spaceSize,
+              static_cast<long long>(result.synthRuns),
+              static_cast<long long>(result.cacheHits),
+              result.pareto.size());
+  if (result.warmStarted > 0)
     std::printf("warm start: %zu cached points re-seeded the archive\n",
-                result->warmStarted);
-  if (result->estimator.used) {
-    std::printf("estimator: %lld estimates from %lld probe runs",
-                static_cast<long long>(result->estimator.estimates),
-                static_cast<long long>(result->estimator.probeRuns));
-    if (result->estimator.errorSamples > 0)
-      std::printf("; error vs %zu synthesized points: latency mean "
-                  "%.1f%% max %.1f%%, dsp %.1f%%, bram %.1f%%, lut %.1f%%",
-                  result->estimator.errorSamples,
-                  result->estimator.latencyMeanAbsPct,
-                  result->estimator.latencyMaxAbsPct,
-                  result->estimator.dspMeanAbsPct,
-                  result->estimator.bramMeanAbsPct,
-                  result->estimator.lutMeanAbsPct);
-    std::printf("\n");
-  }
-  if (!result->pareto.empty()) {
-    const dse::ArchiveEntry &fastest = result->pareto.front();
+                result.warmStarted);
+  if (!result.pareto.empty()) {
+    const dse::ArchiveEntry &fastest = result.pareto.front();
     std::printf("fastest design: II=%lld unroll=%lld partition=%lld%s -> "
                 "%lld cycles, %lld DSP\n",
                 static_cast<long long>(fastest.config.pipelineII),
@@ -338,7 +286,7 @@ int main(int argc, char **argv) {
 
   int status = failures == 0 ? 0 : 1;
   if (!jsonPath.empty()) {
-    std::string text = result->json();
+    std::string text = result.json();
     std::string error;
     if (!json::validate(text, &error)) {
       std::fprintf(stderr, "json: internal error, malformed output: %s\n",
