@@ -66,22 +66,28 @@ private:
       std::string payload =
           attr.substr(std::string(lowering::kPartitionAttrPrefix).size());
       std::vector<std::string> parts = splitString(payload, ':', true);
-      if (parts.size() != 4) {
+      std::optional<int64_t> argIdx, dim, factor;
+      if (parts.size() == 4) {
+        argIdx = parseInt(parts[0]);
+        dim = parseInt(parts[1]);
+        factor = parseInt(parts[2]);
+      }
+      if (!argIdx || !dim || !factor) {
         diags.error(strfmt("adaptor: malformed partition attribute '%s'",
                            attr.c_str()));
         continue;
       }
-      unsigned argIdx = static_cast<unsigned>(std::stoul(parts[0]));
-      if (argIdx >= fn.numArgs()) {
-        diags.error(strfmt("adaptor: partition attribute for argument %u "
+      if (*argIdx < 0 || *argIdx >= static_cast<int64_t>(fn.numArgs())) {
+        diags.error(strfmt("adaptor: partition attribute for argument %lld "
                            "out of range in @%s",
-                           argIdx, fn.name().c_str()));
+                           static_cast<long long>(*argIdx),
+                           fn.name().c_str()));
         continue;
       }
       // One xlx.array_partition node holding [dim, factor, "kind"]
       // triples; append to an existing node when several directives hit
       // the same array.
-      lir::Argument *arg = fn.arg(argIdx);
+      lir::Argument *arg = fn.arg(static_cast<unsigned>(*argIdx));
       auto it = arg->metadata().find(xlx::ArrayPartition);
       lir::MDNode *node;
       if (it == arg->metadata().end()) {
@@ -92,8 +98,8 @@ private:
         node = it->second.get();
       }
       auto triple = std::make_unique<lir::MDNode>();
-      triple->addInt(std::stoll(parts[1]));
-      triple->addInt(std::stoll(parts[2]));
+      triple->addInt(*dim);
+      triple->addInt(*factor);
       triple->addString(parts[3]);
       node->addNode(std::move(triple));
       stats["adaptor.partitions-converted"]++;

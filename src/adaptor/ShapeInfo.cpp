@@ -1,6 +1,7 @@
 #include "adaptor/ShapeInfo.h"
 
 #include "lir/LContext.h"
+#include "support/StringUtils.h"
 
 namespace mha::adaptor {
 
@@ -17,12 +18,15 @@ std::optional<ShapeInfo> parseShapeMD(const lir::MDNode *node,
     return std::nullopt;
   ShapeInfo info;
   const std::string &elem = node->getString(firstIdx);
+  std::optional<int64_t> width; // of an "iN" element
+  if (elem.size() > 1 && elem[0] == 'i')
+    width = parseInt(elem.substr(1));
   if (elem == "f64" || elem == "double")
     info.elemTy = ctx.doubleTy();
   else if (elem == "f32" || elem == "float")
     info.elemTy = ctx.floatTy();
-  else if (elem.size() > 1 && elem[0] == 'i')
-    info.elemTy = ctx.intTy(static_cast<unsigned>(std::stoul(elem.substr(1))));
+  else if (width && *width >= 1 && *width <= 64)
+    info.elemTy = ctx.intTy(static_cast<unsigned>(*width));
   else
     return std::nullopt;
   int64_t rank = node->getInt(firstIdx + 1);

@@ -16,7 +16,6 @@
 #include "support/Metrics.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <cmath>
 #include <initializer_list>
@@ -240,19 +239,11 @@ bool ensureMirModule(FlowState &s) {
          });
 }
 
-/// The adaptor pipeline on result.module, with a dedicated pass pool per
-/// call when passJobs > 1: the batch runner's pool must never run pass
-/// tasks (TaskGroup::wait does not steal — see setConcurrency).
+/// The adaptor pipeline on result.module, on the calling thread.
 bool runAdaptorPipeline(FlowState &s) {
   return substage(s, "adaptor-pipeline", [&] {
     lir::PassManager pm(/*verifyEach=*/true);
     adaptor::buildAdaptorPipeline(pm, s.adaptorOpts);
-    std::unique_ptr<ThreadPool> passPool;
-    if (s.options.passJobs > 1) {
-      passPool = std::make_unique<ThreadPool>(
-          static_cast<unsigned>(s.options.passJobs));
-      pm.setConcurrency(passPool.get());
-    }
     bool ok = pm.run(*s.result.module, s.diags);
     s.result.adaptorStats = pm.totalStats();
     return ok;

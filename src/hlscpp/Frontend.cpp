@@ -239,13 +239,6 @@ struct PragmaInfo {
   std::optional<int64_t> unrollFactor;
 };
 
-/// The deepest the recursive descent goes: every parenthesized, unary,
-/// cast or conditional sub-expression and every loop body is one level
-/// (a parenthesis costs two: the expression and its operand). Far above
-/// what the emitter writes and above C's 63 parenthesis levels, and far
-/// below what a worker thread's stack holds even with sanitizer frames.
-constexpr int kMaxNestingDepth = 256;
-
 class Frontend {
 public:
   Frontend(std::string_view source, lir::LContext &ctx,
@@ -266,29 +259,10 @@ public:
   }
 
 private:
-  /// One level of recursive descent, held for the level's lifetime. Past
-  /// kMaxNestingDepth it reports one located error and every level after
-  /// it fails at once (`ok` false), so the parse unwinds without
-  /// descending further or piling up follow-on errors.
-  struct Nesting {
-    Frontend &fe;
-    bool ok;
-    explicit Nesting(Frontend &fe)
-        : fe(fe), ok(++fe.depth_ <= kMaxNestingDepth && !fe.tooDeep_) {
-      if (!ok && !fe.tooDeep_) {
-        fe.tooDeep_ = true;
-        fe.diags_.error(strfmt("hls-frontend: nesting deeper than %d levels",
-                               kMaxNestingDepth),
-                        fe.lex_.cur().loc);
-      }
-    }
-    ~Nesting() { --fe.depth_; }
-  };
-
   /// Reports a parse error, except while a too-deep parse unwinds: its
   /// one nesting error says all there is to say.
   void error(std::string message, SrcLoc loc = {}) {
-    if (!tooDeep_)
+    if (!nesting_.exceeded())
       diags_.error(std::move(message), loc);
   }
 
@@ -425,7 +399,7 @@ private:
 
   void parseStatement() {
     if (lex_.cur().kind == Tok::Pragma) {
-      handlePragma(lex_.take().text);
+      handlePragma(lex_.take());
       return;
     }
     if (lex_.cur().kind == Tok::Ident && lex_.cur().text == "for") {
@@ -554,8 +528,8 @@ private:
   }
 
   lir::Value *parseExpr() {
-    Nesting nesting(*this);
-    return nesting.ok ? parseTernary() : nullptr;
+    NestingLimit::Level level(nesting_, lex_.cur().loc);
+    return level.ok() ? parseTernary() : nullptr;
   }
 
   lir::Value *parseTernary() {
@@ -636,8 +610,8 @@ private:
   }
 
   lir::Value *parseUnary() {
-    Nesting nesting(*this);
-    if (!nesting.ok)
+    NestingLimit::Level level(nesting_, lex_.cur().loc);
+    if (!level.ok())
       return nullptr;
     if (accept(Tok::Minus)) {
       lir::Value *v = parseUnary();
@@ -744,8 +718,8 @@ private:
   // --- loops & pragmas ---
 
   void parseFor() {
-    Nesting nesting(*this);
-    if (!nesting.ok)
+    NestingLimit::Level level(nesting_, lex_.cur().loc);
+    if (!level.ok())
       return;
     lex_.advance(); // 'for'
     expect(Tok::LParen, "'('");
@@ -806,7 +780,7 @@ private:
     // Pragmas immediately inside the loop body configure this loop.
     PragmaInfo pragmas;
     while (lex_.cur().kind == Tok::Pragma)
-      parseLoopPragma(lex_.take().text, pragmas);
+      parseLoopPragma(lex_.take(), pragmas);
 
     parseStatements();
     expect(Tok::RBrace, "'}'");
@@ -845,8 +819,19 @@ private:
       vars_.erase(ivName.text);
   }
 
-  void handlePragma(const std::string &line) {
+  /// The N of a pragma word `key=N` (`keyLen` covers "key="); a located
+  /// error, not a throw, when N is not an integer.
+  std::optional<int64_t> pragmaValue(const std::string &word, size_t keyLen,
+                                     SrcLoc loc) {
+    std::optional<int64_t> value = parseInt(word.substr(keyLen));
+    if (!value)
+      error("hls-frontend: bad pragma value '" + word + "'", loc);
+    return value;
+  }
+
+  void handlePragma(const Token &pragma) {
     // Function-scope pragmas: dataflow, array_partition.
+    const std::string &line = pragma.text;
     std::vector<std::string> words = splitString(line, ' ');
     if (words.size() >= 3 && words[2] == "dataflow") {
       fn_->attrs().insert("xlx.dataflow");
@@ -859,9 +844,9 @@ private:
         if (startsWith(word, "variable="))
           variable = word.substr(9);
         else if (startsWith(word, "factor="))
-          factor = std::stoll(word.substr(7));
+          factor = pragmaValue(word, 7, pragma.loc).value_or(factor);
         else if (startsWith(word, "dim="))
-          dim = std::stoll(word.substr(4));
+          dim = pragmaValue(word, 4, pragma.loc).value_or(dim);
         else if (word == "cyclic" || word == "block")
           kind = word;
       }
@@ -891,19 +876,19 @@ private:
     diags_.warning("hls-frontend: ignored pragma: " + line);
   }
 
-  void parseLoopPragma(const std::string &line, PragmaInfo &out) {
-    std::vector<std::string> words = splitString(line, ' ');
+  void parseLoopPragma(const Token &pragma, PragmaInfo &out) {
+    std::vector<std::string> words = splitString(pragma.text, ' ');
     for (size_t i = 0; i < words.size(); ++i) {
       if (words[i] == "pipeline") {
         out.pipelineII = 1;
         for (const std::string &word : words)
           if (startsWith(word, "II="))
-            out.pipelineII = std::stoll(word.substr(3));
+            out.pipelineII = pragmaValue(word, 3, pragma.loc).value_or(1);
       } else if (words[i] == "unroll") {
         out.unrollFactor = 0; // full unroll by default
         for (const std::string &word : words)
           if (startsWith(word, "factor="))
-            out.unrollFactor = std::stoll(word.substr(7));
+            out.unrollFactor = pragmaValue(word, 7, pragma.loc).value_or(0);
         if (*out.unrollFactor == 0)
           out.unrollFactor = 1 << 30; // "full": clamped to trip count later
       }
@@ -918,8 +903,10 @@ private:
   lir::Function *fn_ = nullptr;
   std::map<std::string, VarInfo> vars_;
   std::map<std::string, unsigned> argIndexByName_;
-  int depth_ = 0;        // current recursive-descent depth (see Nesting)
-  bool tooDeep_ = false; // kMaxNestingDepth was exceeded
+  // One level per parenthesized, unary, cast or conditional
+  // sub-expression and per loop body (a parenthesis costs two: the
+  // expression and its operand).
+  NestingLimit nesting_{diags_, "hls-frontend: "};
 };
 
 } // namespace

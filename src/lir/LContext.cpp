@@ -5,7 +5,6 @@
 #include "support/Hash.h"
 #include "support/StringUtils.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <unordered_map>
@@ -31,13 +30,6 @@ struct LContext::Impl {
   SimpleType labelTy;
   SimpleType floatTy;
   SimpleType doubleTy;
-
-  // Every uniquing method locks this so parallel function passes can
-  // create constants/types concurrently. Uncontended in serial mode.
-  std::mutex uniquingMutex;
-  // Guards shared-value use-lists while parallelUseLists is on.
-  std::mutex useListMutex;
-  std::atomic<bool> parallelUseLists{false};
 
   std::unordered_map<unsigned, IntType *> intTypes;
   std::unordered_map<Type *, PointerType *> ptrTypes;
@@ -65,16 +57,6 @@ template <typename T, typename... Args> T *LContext::alloc(Args &&...args) {
 LContext::LContext() : impl_(std::make_unique<Impl>(*this)) {}
 LContext::~LContext() = default;
 
-void LContext::setParallelUseLists(bool enabled) {
-  impl_->parallelUseLists.store(enabled, std::memory_order_release);
-}
-
-bool LContext::parallelUseLists() const {
-  return impl_->parallelUseLists.load(std::memory_order_acquire);
-}
-
-std::mutex &LContext::useListMutex() { return impl_->useListMutex; }
-
 size_t LContext::arenaBytes() const { return impl_->arena.bytesAllocated(); }
 
 Type *LContext::voidTy() { return &impl_->voidTy; }
@@ -84,7 +66,6 @@ Type *LContext::doubleTy() { return &impl_->doubleTy; }
 
 IntType *LContext::intTy(unsigned width) {
   assert(width >= 1 && width <= 64 && "unsupported integer width");
-  std::lock_guard<std::mutex> lock(impl_->uniquingMutex);
   auto &slot = impl_->intTypes[width];
   if (!slot)
     slot = alloc<IntType>(*this, width);
@@ -93,7 +74,6 @@ IntType *LContext::intTy(unsigned width) {
 
 PointerType *LContext::ptrTy(Type *pointee) {
   assert(pointee && "use opaquePtrTy() for opaque pointers");
-  std::lock_guard<std::mutex> lock(impl_->uniquingMutex);
   auto &slot = impl_->ptrTypes[pointee];
   if (!slot)
     slot = alloc<PointerType>(*this, pointee);
@@ -101,14 +81,12 @@ PointerType *LContext::ptrTy(Type *pointee) {
 }
 
 PointerType *LContext::opaquePtrTy() {
-  std::lock_guard<std::mutex> lock(impl_->uniquingMutex);
   if (!impl_->opaquePtr)
     impl_->opaquePtr = alloc<PointerType>(*this, nullptr);
   return impl_->opaquePtr;
 }
 
 ArrayType *LContext::arrayTy(Type *element, uint64_t count) {
-  std::lock_guard<std::mutex> lock(impl_->uniquingMutex);
   uint64_t key = HashBuilder().pointer(element).u64(count).get();
   auto &bucket = impl_->arrayTypes[key];
   for (ArrayType *at : bucket)
@@ -120,7 +98,6 @@ ArrayType *LContext::arrayTy(Type *element, uint64_t count) {
 
 StructType *LContext::structTy(std::string name, std::vector<Type *> fields) {
   // Structs are uniqued by structural equality (name is cosmetic).
-  std::lock_guard<std::mutex> lock(impl_->uniquingMutex);
   HashBuilder h;
   h.str(name).u64(fields.size());
   for (Type *f : fields)
@@ -135,7 +112,6 @@ StructType *LContext::structTy(std::string name, std::vector<Type *> fields) {
 }
 
 FunctionType *LContext::fnTy(Type *ret, std::vector<Type *> params) {
-  std::lock_guard<std::mutex> lock(impl_->uniquingMutex);
   HashBuilder h;
   h.pointer(ret).u64(params.size());
   for (Type *p : params)
@@ -157,7 +133,6 @@ ConstantInt *LContext::constInt(IntType *type, int64_t value) {
     uint64_t sign = uint64_t(1) << (type->width() - 1);
     value = static_cast<int64_t>((bits ^ sign) - sign);
   }
-  std::lock_guard<std::mutex> lock(impl_->uniquingMutex);
   uint64_t key = HashBuilder().pointer(type).i64(value).get();
   auto &bucket = impl_->intConsts[key];
   for (ConstantInt *c : bucket)
@@ -184,7 +159,6 @@ ConstantFP *LContext::constFP(Type *type, double value) {
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(value));
   std::memcpy(&bits, &value, sizeof(bits));
-  std::lock_guard<std::mutex> lock(impl_->uniquingMutex);
   uint64_t key = HashBuilder().pointer(type).u64(bits).get();
   auto &bucket = impl_->fpConsts[key];
   for (ConstantFP *c : bucket) {
@@ -198,7 +172,6 @@ ConstantFP *LContext::constFP(Type *type, double value) {
 }
 
 UndefValue *LContext::undef(Type *type) {
-  std::lock_guard<std::mutex> lock(impl_->uniquingMutex);
   auto &slot = impl_->undefs[type];
   if (!slot)
     slot = alloc<UndefValue>(type);

@@ -277,7 +277,7 @@ private:
 class Parser {
 public:
   Parser(std::string_view text, LContext &ctx, DiagnosticEngine &diags)
-      : lex_(text, diags), ctx_(ctx), diags_(diags) {}
+      : lex_(text, diags), ctx_(ctx), diags_(diags), nesting_(diags) {}
 
   std::unique_ptr<Module> parse() {
     auto module = std::make_unique<Module>(ctx_, "parsed");
@@ -302,7 +302,7 @@ public:
       } else if (t.kind == Tok::Ident && t.text == "declare") {
         parseFunction(/*isDecl=*/true);
       } else {
-        diags_.error("expected 'define', 'declare' or '!flag'", t.loc);
+        error("expected 'define', 'declare' or '!flag'", t.loc);
         break;
       }
     }
@@ -312,11 +312,18 @@ public:
   }
 
 private:
+  /// Reports a parse error, except while a too-deep parse unwinds: its
+  /// one nesting error says all there is to say.
+  void error(std::string message, SrcLoc loc = {}) {
+    if (!nesting_.exceeded())
+      diags_.error(std::move(message), loc);
+  }
+
   Token expect(Tok kind, const char *what) {
     if (lex_.cur().kind != kind) {
-      diags_.error(strfmt("expected %s, got '%s'", what,
-                          lex_.cur().text.c_str()),
-                   lex_.cur().loc);
+      error(strfmt("expected %s, got '%s'", what,
+                   lex_.cur().text.c_str()),
+            lex_.cur().loc);
       return Token{};
     }
     return lex_.take();
@@ -348,6 +355,9 @@ private:
 
   Type *parseBaseType() {
     const Token &t = lex_.cur();
+    NestingLimit::Level level(nesting_, t.loc);
+    if (!level.ok())
+      return nullptr;
     if (t.kind == Tok::Ident) {
       // Copy: advance() below invalidates the current token's text.
       const std::string w = t.text;
@@ -356,16 +366,19 @@ private:
       if (w == "double") { lex_.advance(); return ctx_.doubleTy(); }
       if (w == "label") { lex_.advance(); return ctx_.labelTy(); }
       if (w == "ptr") { lex_.advance(); return ctx_.opaquePtrTy(); }
-      if (w.size() > 1 && w[0] == 'i') {
-        bool digits = true;
-        for (char c : w.substr(1))
-          digits &= std::isdigit(static_cast<unsigned char>(c)) != 0;
-        if (digits) {
-          lex_.advance();
-          return ctx_.intTy(static_cast<unsigned>(std::stoul(w.substr(1))));
+      if (w.size() > 1 && w[0] == 'i' &&
+          std::isdigit(static_cast<unsigned char>(w[1]))) {
+        std::optional<int64_t> width = parseInt(w.substr(1));
+        if (!width || *width < 1 || *width > 64) {
+          error(strfmt("bad integer type '%s' (width must be 1 to 64)",
+                       w.c_str()),
+                t.loc);
+          return nullptr;
         }
+        lex_.advance();
+        return ctx_.intTy(static_cast<unsigned>(*width));
       }
-      diags_.error(strfmt("unknown type '%s'", w.c_str()), t.loc);
+      error(strfmt("unknown type '%s'", w.c_str()), t.loc);
       return nullptr;
     }
     if (t.kind == Tok::LBracket) {
@@ -373,7 +386,7 @@ private:
       Token count = expect(Tok::Int, "array length");
       Token x = expect(Tok::Ident, "'x'");
       if (x.text != "x")
-        diags_.error("expected 'x' in array type", x.loc);
+        error("expected 'x' in array type", x.loc);
       Type *elem = parseType();
       expect(Tok::RBracket, "']'");
       if (!elem)
@@ -394,18 +407,21 @@ private:
       expect(Tok::RBrace, "'}'");
       return ctx_.structTy("", std::move(fields));
     }
-    diags_.error("expected type", t.loc);
+    error("expected type", t.loc);
     return nullptr;
   }
 
   // ---- Metadata ----
   std::unique_ptr<MDNode> parseMDNode() {
+    auto node = std::make_unique<MDNode>();
+    NestingLimit::Level level(nesting_, lex_.cur().loc);
+    if (!level.ok())
+      return node;
     // Caller consumed `!name`; we are at `!{` (MetaName with empty text)
     // or directly at `{` depending on how it was lexed.
     if (lex_.cur().kind == Tok::MetaName && lex_.cur().text.empty())
       lex_.advance();
     expect(Tok::LBrace, "'{' of metadata node");
-    auto node = std::make_unique<MDNode>();
     if (lex_.cur().kind != Tok::RBrace) {
       do {
         const Token &t = lex_.cur();
@@ -424,7 +440,7 @@ private:
         } else if (t.kind == Tok::MetaName && t.text.empty()) {
           node->addNode(parseMDNode());
         } else {
-          diags_.error("bad metadata operand", t.loc);
+          error("bad metadata operand", t.loc);
           break;
         }
       } while (accept(Tok::Comma));
@@ -527,9 +543,9 @@ private:
           curBB = getBlock(fn, first.text);
           if (!defined.insert(curBB).second) {
             // The loop stops at the error.
-            diags_.error(strfmt("redefinition of block %%%s",
-                                first.text.c_str()),
-                         first.loc);
+            error(strfmt("redefinition of block %%%s",
+                         first.text.c_str()),
+                  first.loc);
           } else if (lastDefined == fn->end()) {
             lastDefined = fn->begin(); // the first label: nothing precedes it
           } else {
@@ -541,7 +557,7 @@ private:
           continue;
         }
         if (!curBB) {
-          diags_.error("instruction before first label", first.loc);
+          error("instruction before first label", first.loc);
           return;
         }
         parseInstruction(fn, builder, /*resultName=*/"", first);
@@ -552,21 +568,21 @@ private:
         expect(Tok::Equal, "'='");
         Token op = expect(Tok::Ident, "opcode");
         if (!curBB) {
-          diags_.error("instruction before first label", result.loc);
+          error("instruction before first label", result.loc);
           return;
         }
         parseInstruction(fn, builder, result.text, op);
         continue;
       }
-      diags_.error(strfmt("unexpected token '%s' in function body",
-                          lex_.cur().text.c_str()),
-                   lex_.cur().loc);
+      error(strfmt("unexpected token '%s' in function body",
+                   lex_.cur().text.c_str()),
+            lex_.cur().loc);
       return;
     }
     expect(Tok::RBrace, "'}'");
 
     for (auto &[name2, placeholder] : forwardRefs_) {
-      diags_.error(strfmt("use of undefined value %%%s", name2.c_str()));
+      error(strfmt("use of undefined value %%%s", name2.c_str()));
       // Keep the IR destructible despite the error.
       placeholder->replaceAllUsesWith(ctx_.undef(placeholder->type()));
     }
@@ -605,8 +621,11 @@ private:
     value->setName(name);
   }
 
-  /// Parses `<value>` where the expected type is known.
+  /// Parses `<value>` where the expected type is known (null: a type
+  /// error was already reported).
   Value *parseValueRef(Type *type) {
+    if (!type)
+      return nullptr;
     const Token &t = lex_.cur();
     if (t.kind == Tok::LocalName) {
       std::string name = lex_.take().text;
@@ -616,7 +635,7 @@ private:
       std::string name = lex_.take().text;
       Function *fn = module_->getFunction(name);
       if (!fn)
-        diags_.error(strfmt("unknown function @%s", name.c_str()), t.loc);
+        error(strfmt("unknown function @%s", name.c_str()), t.loc);
       return fn;
     }
     if (t.kind == Tok::Int) {
@@ -625,13 +644,13 @@ private:
         return ctx_.constFP(type, static_cast<double>(v.intValue));
       if (auto *it = dyn_cast<IntType>(type))
         return ctx_.constInt(it, v.intValue);
-      diags_.error("integer literal for non-integer type", v.loc);
+      error("integer literal for non-integer type", v.loc);
       return nullptr;
     }
     if (t.kind == Tok::Float) {
       Token v = lex_.take();
       if (!type->isFloatingPoint()) {
-        diags_.error("float literal for non-float type", v.loc);
+        error("float literal for non-float type", v.loc);
         return nullptr;
       }
       return ctx_.constFP(type, v.fpValue);
@@ -640,17 +659,12 @@ private:
       lex_.advance();
       return ctx_.undef(type);
     }
-    diags_.error(strfmt("expected value, got '%s'", t.text.c_str()), t.loc);
+    error(strfmt("expected value, got '%s'", t.text.c_str()), t.loc);
     return nullptr;
   }
 
   /// Parses `<type> <value>`.
-  Value *parseTypedValue() {
-    Type *type = parseType();
-    if (!type)
-      return nullptr;
-    return parseValueRef(type);
-  }
+  Value *parseTypedValue() { return parseValueRef(parseType()); }
 
   void parseInstruction(Function *fn, IRBuilder &builder,
                         const std::string &resultName, const Token &opTok) {
@@ -692,7 +706,7 @@ private:
     } else if (auto ct = casts.find(op); ct != casts.end()) {
       Value *v = parseTypedValue();
       if (!acceptIdent("to"))
-        diags_.error("expected 'to' in cast", lex_.cur().loc);
+        error("expected 'to' in cast", lex_.cur().loc);
       Type *to = parseType();
       if (v && to)
         inst = builder.createCast(ct->second, v, to);
@@ -700,7 +714,7 @@ private:
       Token predTok = expect(Tok::Ident, "predicate");
       auto pit = preds.find(predTok.text);
       if (pit == preds.end()) {
-        diags_.error("unknown predicate", predTok.loc);
+        error("unknown predicate", predTok.loc);
         return;
       }
       Type *type = parseType();
@@ -750,6 +764,8 @@ private:
         inst = builder.createAlloca(type);
     } else if (op == "phi") {
       Type *type = parseType();
+      if (!type)
+        return;
       inst = builder.createPhi(type);
       do {
         if (lex_.cur().kind == Tok::MetaName) {
@@ -784,6 +800,8 @@ private:
         inst = builder.createFNeg(v);
     } else if (op == "call") {
       Type *retTy = parseType();
+      if (!retTy)
+        return;
       Token callee = expect(Tok::GlobalName, "callee");
       expect(Tok::LParen, "'('");
       std::vector<Value *> args;
@@ -832,7 +850,7 @@ private:
     } else if (op == "unreachable") {
       inst = builder.createUnreachable();
     } else {
-      diags_.error(strfmt("unknown instruction '%s'", op.c_str()), opTok.loc);
+      error(strfmt("unknown instruction '%s'", op.c_str()), opTok.loc);
       return;
     }
 
@@ -846,6 +864,8 @@ private:
   Lexer lex_;
   LContext &ctx_;
   DiagnosticEngine &diags_;
+  // One level per array, struct and metadata node.
+  NestingLimit nesting_;
   Module *module_ = nullptr;
   std::map<std::string, Value *> values_;
   std::map<std::string, BasicBlock *> blocks_;

@@ -27,10 +27,6 @@
 #include <string>
 #include <vector>
 
-namespace mha {
-class ThreadPool;
-} // namespace mha
-
 namespace mha::lir {
 
 class Function;
@@ -51,19 +47,18 @@ public:
   virtual bool run(Module &module, PassStats &stats,
                    DiagnosticEngine &diags) = 0;
   /// Non-null when this pass processes functions independently and may be
-  /// parallelized/fused by the pass manager (RTTI-free downcast).
+  /// fused with its neighbours (RTTI-free downcast).
   virtual FunctionPass *asFunctionPass() { return nullptr; }
 };
 
 /// A pass whose unit of work is one function, with no cross-function
-/// dependencies. The pass manager may run it over the module's functions
-/// in parallel (see PassManager::setConcurrency) or fuse consecutive
-/// function passes into one traversal (FusedFunctionPass).
+/// dependencies, so consecutive function passes can be fused into one
+/// traversal (FusedFunctionPass).
 ///
 /// Contract for implementations: runOnFunction may read and create
-/// context-owned values (constants, types — uniquing is internally
-/// locked) and mutate only `fn`'s own instructions/blocks; it must not
-/// touch other functions' bodies or module-level structure.
+/// context-owned values (constants, types) and mutate only `fn`'s own
+/// instructions/blocks; it must not touch other functions' bodies or
+/// module-level structure.
 class FunctionPass : public ModulePass {
 public:
   /// Returns true if `fn` changed (load-bearing, as for ModulePass::run).
@@ -185,18 +180,6 @@ public:
     instrumentations_.push_back(instrumentation);
   }
 
-  /// Runs function passes function-at-a-time on `pool` (not owned; must
-  /// outlive run()). nullptr restores serial execution. The pool must be
-  /// dedicated to pass execution — scheduling pass work on a pool whose
-  /// worker is itself blocked in this run() (e.g. the batch runner's)
-  /// can deadlock, since TaskGroup::wait does not steal work.
-  /// Module-level instrumentation hooks still fire on the calling thread
-  /// around the whole pass; per-function spans are recorded on the worker
-  /// threads, so they land in the workers' telemetry lanes. Results
-  /// (stats, diagnostics, records) are merged in deterministic function
-  /// order regardless of completion order.
-  void setConcurrency(ThreadPool *pool) { pool_ = pool; }
-
   /// Runs every pass in order. Returns false if a pass errored or a
   /// post-pass verification failed (remaining passes are skipped; the
   /// diagnostics end with "IR verification failed after pass '<name>'").
@@ -208,14 +191,10 @@ public:
   PassStats totalStats() const;
 
 private:
-  bool runOnePass(ModulePass &pass, Module &module, DiagnosticEngine &diags,
-                  PassRunRecord &record);
-
   bool verifyEach_;
   std::vector<std::unique_ptr<ModulePass>> passes_;
   std::vector<PassInstrumentation *> instrumentations_;
   std::vector<PassRunRecord> records_;
-  ThreadPool *pool_ = nullptr;
 };
 
 } // namespace mha::lir

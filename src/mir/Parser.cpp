@@ -232,7 +232,7 @@ private:
 class MirParser {
 public:
   MirParser(std::string_view text, MContext &ctx, DiagnosticEngine &diags)
-      : lex_(text, diags), ctx_(ctx), diags_(diags) {}
+      : lex_(text, diags), ctx_(ctx), diags_(diags), nesting_(diags) {}
 
   std::optional<OwnedModule> parse() {
     if (!expectIdent("builtin.module"))
@@ -251,11 +251,17 @@ public:
   }
 
 private:
+  /// Reports a parse error, except while a too-deep parse unwinds: its
+  /// one nesting error says all there is to say.
+  void error(std::string message, SrcLoc loc = {}) {
+    if (!nesting_.exceeded())
+      diags_.error(std::move(message), loc);
+  }
+
   Token expect(Tok kind, const char *what) {
     if (lex_.cur().kind != kind) {
-      diags_.error(strfmt("expected %s, got '%s'", what,
-                          lex_.cur().text.c_str()),
-                   lex_.cur().loc);
+      error(strfmt("expected %s, got '%s'", what, lex_.cur().text.c_str()),
+            lex_.cur().loc);
       return Token{};
     }
     return lex_.take();
@@ -274,15 +280,27 @@ private:
       lex_.advance();
       return true;
     }
-    diags_.error(strfmt("expected '%s'", word), lex_.cur().loc);
+    error(strfmt("expected '%s'", word), lex_.cur().loc);
     return false;
+  }
+
+  /// The width of an `iN` type word ("i32" -> 32): a located error, not a
+  /// throw, when N is not a width the IR supports.
+  std::optional<unsigned> intWidth(const std::string &word, SrcLoc loc) {
+    std::optional<int64_t> width = parseInt(word.substr(1));
+    if (width && *width >= 1 && *width <= 64)
+      return static_cast<unsigned>(*width);
+    error(strfmt("bad integer type '%s' (width must be 1 to 64)",
+                 word.c_str()),
+          loc);
+    return std::nullopt;
   }
 
   // --- Types ---
   Type *parseType() {
-    const Token &t = lex_.cur();
-    if (t.kind != Tok::Ident) {
-      diags_.error("expected type", t.loc);
+    const SrcLoc loc = lex_.cur().loc;
+    if (lex_.cur().kind != Tok::Ident) {
+      error("expected type", loc);
       return nullptr;
     }
     std::string w = lex_.take().text;
@@ -294,12 +312,10 @@ private:
       return ctx_.f32();
     if (w == "f64")
       return ctx_.f64();
-    if (w.size() > 1 && w[0] == 'i') {
-      bool digits = true;
-      for (char c : w.substr(1))
-        digits &= std::isdigit(static_cast<unsigned char>(c)) != 0;
-      if (digits)
-        return ctx_.intTy(static_cast<unsigned>(std::stoul(w.substr(1))));
+    if (w.size() > 1 && w[0] == 'i' &&
+        std::isdigit(static_cast<unsigned char>(w[1]))) {
+      std::optional<unsigned> width = intWidth(w, loc);
+      return width ? ctx_.intTy(*width) : nullptr;
     }
     if (w == "memref") {
       expect(Tok::Less, "'<'");
@@ -313,6 +329,7 @@ private:
           continue;
         }
         if (lex_.cur().kind == Tok::Ident) {
+          const SrcLoc wordLoc = lex_.cur().loc;
           std::string word = lex_.take().text;
           // word looks like "x32x..." and/or ends with the element type.
           size_t i = 0;
@@ -324,23 +341,29 @@ private:
                      std::isdigit(static_cast<unsigned char>(word[j])))
                 ++j;
               if (j > i) {
-                shape.push_back(std::stoll(word.substr(i, j - i)));
+                std::optional<int64_t> dim = parseInt(word.substr(i, j - i));
+                if (!dim) {
+                  error(strfmt("memref dimension '%s' out of range",
+                               word.substr(i, j - i).c_str()),
+                        wordLoc);
+                  return nullptr;
+                }
+                shape.push_back(*dim);
                 i = j;
                 continue;
               }
-              // Rest is the element type.
-              elem = typeFromWord(word.substr(i));
-              i = word.size();
-            } else {
-              elem = typeFromWord(word.substr(i));
-              i = word.size();
             }
+            // Rest is the element type.
+            elem = typeFromWord(word.substr(i), wordLoc);
+            if (!elem)
+              return nullptr;
+            i = word.size();
           }
           if (elem)
             break;
           continue;
         }
-        diags_.error("bad memref shape", lex_.cur().loc);
+        error("bad memref shape", lex_.cur().loc);
         return nullptr;
       }
       expect(Tok::Greater, "'>'");
@@ -348,68 +371,99 @@ private:
         return nullptr;
       return ctx_.memrefTy(std::move(shape), elem);
     }
-    diags_.error(strfmt("unknown type '%s'", w.c_str()), t.loc);
+    error(strfmt("unknown type '%s'", w.c_str()), loc);
     return nullptr;
   }
 
-  Type *typeFromWord(const std::string &w) {
+  Type *typeFromWord(const std::string &w, SrcLoc loc) {
     if (w == "f32")
       return ctx_.f32();
     if (w == "f64")
       return ctx_.f64();
     if (w == "index")
       return ctx_.indexTy();
-    if (w.size() > 1 && w[0] == 'i')
-      return ctx_.intTy(static_cast<unsigned>(std::stoul(w.substr(1))));
-    diags_.error(strfmt("unknown element type '%s'", w.c_str()));
+    if (w.size() > 1 && w[0] == 'i') {
+      std::optional<unsigned> width = intWidth(w, loc);
+      return width ? ctx_.intTy(*width) : nullptr;
+    }
+    error(strfmt("unknown element type '%s'", w.c_str()), loc);
     return nullptr;
   }
 
   // --- Affine maps ---
-  const AffineExpr *parseAffineExpr(unsigned numDims) {
-    const AffineExpr *lhs = parseAffineTerm(numDims);
+  // expr    := product ('+' product)*    where a + b + c is a + (b + c)
+  // product := term (('*' | 'mod' | 'floordiv' | 'ceildiv') term)*
+  // term    := integer | dN | sN | '(' expr ')'
+  // Each returns null after reporting an error.
+  const AffineExpr *parseAffineExpr(unsigned numDims, unsigned numSyms) {
+    std::vector<const AffineExpr *> products;
+    do {
+      const AffineExpr *product = parseAffineProduct(numDims, numSyms);
+      if (!product)
+        return nullptr;
+      products.push_back(product);
+    } while (accept(Tok::Plus));
+    const AffineExpr *sum = products.back();
+    for (size_t i = products.size() - 1; i-- > 0;)
+      sum = ctx_.affineAdd(products[i], sum);
+    return sum;
+  }
+
+  const AffineExpr *parseAffineProduct(unsigned numDims, unsigned numSyms) {
+    using Combine = const AffineExpr *(MContext::*)(const AffineExpr *,
+                                                    const AffineExpr *);
+    const AffineExpr *lhs = parseAffineTerm(numDims, numSyms);
     while (lhs) {
-      if (lex_.cur().kind == Tok::Ident && lex_.cur().text == "mod") {
-        lex_.advance();
-        lhs = ctx_.affineMod(lhs, parseAffineTerm(numDims));
-      } else if (lex_.cur().kind == Tok::Ident &&
-                 lex_.cur().text == "floordiv") {
-        lex_.advance();
-        lhs = ctx_.affineFloorDiv(lhs, parseAffineTerm(numDims));
-      } else if (lex_.cur().kind == Tok::Ident &&
-                 lex_.cur().text == "ceildiv") {
-        lex_.advance();
-        lhs = ctx_.affineCeilDiv(lhs, parseAffineTerm(numDims));
-      } else if (lex_.cur().kind == Tok::Plus) {
-        lex_.advance();
-        lhs = ctx_.affineAdd(lhs, parseAffineExpr(numDims));
-      } else if (lex_.cur().kind == Tok::Star) {
-        lex_.advance();
-        lhs = ctx_.affineMul(lhs, parseAffineTerm(numDims));
-      } else {
+      const Token &t = lex_.cur();
+      Combine combine = nullptr;
+      if (t.kind == Tok::Star)
+        combine = &MContext::affineMul;
+      else if (t.kind == Tok::Ident && t.text == "mod")
+        combine = &MContext::affineMod;
+      else if (t.kind == Tok::Ident && t.text == "floordiv")
+        combine = &MContext::affineFloorDiv;
+      else if (t.kind == Tok::Ident && t.text == "ceildiv")
+        combine = &MContext::affineCeilDiv;
+      else
         break;
-      }
+      lex_.advance();
+      const AffineExpr *rhs = parseAffineTerm(numDims, numSyms);
+      lhs = rhs ? (ctx_.*combine)(lhs, rhs) : nullptr;
     }
     return lhs;
   }
 
-  const AffineExpr *parseAffineTerm(unsigned numDims) {
+  const AffineExpr *parseAffineTerm(unsigned numDims, unsigned numSyms) {
     const Token &t = lex_.cur();
+    const SrcLoc loc = t.loc;
     if (t.kind == Tok::Int)
       return ctx_.affineConst(lex_.take().intValue);
     if (t.kind == Tok::LParen) {
+      NestingLimit::Level level(nesting_, loc);
+      if (!level.ok())
+        return nullptr;
       lex_.advance();
-      const AffineExpr *e = parseAffineExpr(numDims);
+      const AffineExpr *e = parseAffineExpr(numDims, numSyms);
       expect(Tok::RParen, "')'");
       return e;
     }
     if (t.kind == Tok::Ident && t.text.size() >= 2 &&
         (t.text[0] == 'd' || t.text[0] == 's')) {
       std::string w = lex_.take().text;
-      unsigned pos = static_cast<unsigned>(std::stoul(w.substr(1)));
-      return w[0] == 'd' ? ctx_.affineDim(pos) : ctx_.affineSymbol(pos);
+      const bool dim = w[0] == 'd';
+      const unsigned count = dim ? numDims : numSyms;
+      std::optional<int64_t> pos = parseInt(w.substr(1));
+      if (!pos || *pos < 0 || *pos >= count) {
+        error(strfmt("bad affine %s '%s' (map has %u %ss)",
+                     dim ? "dimension" : "symbol", w.c_str(), count,
+                     dim ? "dimension" : "symbol"),
+              loc);
+        return nullptr;
+      }
+      const unsigned p = static_cast<unsigned>(*pos);
+      return dim ? ctx_.affineDim(p) : ctx_.affineSymbol(p);
     }
-    diags_.error("bad affine expression", t.loc);
+    error("bad affine expression", loc);
     return nullptr;
   }
 
@@ -439,7 +493,7 @@ private:
     std::vector<const AffineExpr *> results;
     if (lex_.cur().kind != Tok::RParen) {
       do {
-        const AffineExpr *e = parseAffineExpr(numDims);
+        const AffineExpr *e = parseAffineExpr(numDims, numSyms);
         if (!e)
           break;
         results.push_back(e);
@@ -459,6 +513,9 @@ private:
     if (t.kind == Tok::String)
       return ctx_.stringAttr(lex_.take().text);
     if (t.kind == Tok::LBracket) {
+      NestingLimit::Level level(nesting_, t.loc);
+      if (!level.ok())
+        return nullptr;
       lex_.advance();
       std::vector<const Attribute *> elems;
       if (lex_.cur().kind != Tok::RBracket) {
@@ -490,7 +547,7 @@ private:
       expect(Tok::Greater, "'>'");
       return ctx_.affineMapAttr(std::move(map));
     }
-    diags_.error("bad attribute value", t.loc);
+    error("bad attribute value", t.loc);
     return nullptr;
   }
 
@@ -553,7 +610,7 @@ private:
   Value *lookup(const std::string &name, SrcLoc loc) {
     auto it = values_.find(name);
     if (it == values_.end()) {
-      diags_.error(strfmt("unknown value %%%s", name.c_str()), loc);
+      error(strfmt("unknown value %%%s", name.c_str()), loc);
       return nullptr;
     }
     return it->second;
@@ -645,7 +702,7 @@ private:
     Operation *result = builder.insertOp(std::move(finalOp));
 
     if (resultNames.size() != result->numResults()) {
-      diags_.error("result count mismatch", name.loc);
+      error("result count mismatch", name.loc);
       return;
     }
     for (unsigned i = 0; i < result->numResults(); ++i)
@@ -653,6 +710,9 @@ private:
   }
 
   void parseRegion(Operation *op) {
+    NestingLimit::Level level(nesting_, lex_.cur().loc);
+    if (!level.ok())
+      return;
     expect(Tok::LBrace, "'{'");
     Region *region = op->addRegion();
     Block *block = region->addBlock();
@@ -684,6 +744,9 @@ private:
   Lexer lex_;
   MContext &ctx_;
   DiagnosticEngine &diags_;
+  // One level per parenthesized affine sub-expression, array attribute
+  // and op region.
+  NestingLimit nesting_;
   std::map<std::string, Value *> values_;
 };
 

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <exception>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -415,7 +416,15 @@ void Server::runPending(std::shared_ptr<Pending> pending) {
     Emit emit = [this, pending](const std::string &line) {
       emitTo(pending->conn, line);
     };
-    outcome = runSession(req, options_.session, &pending->cancel, emit);
+    try {
+      outcome = runSession(req, options_.session, &pending->cancel, emit);
+    } catch (const std::exception &e) {
+      // A throw must not cost the client its `done` or the server the
+      // admission slot this request holds.
+      outcome.code = errc::FlowError;
+      emit(renderError(req.id, errc::FlowError,
+                       strfmt("internal error: %s", e.what())));
+    }
     compileUs = elapsedUs(started);
   }
   emitTo(pending->conn, renderDone(req.id, outcome.ok, outcome.code,

@@ -10,6 +10,17 @@ std::string SrcLoc::str() const {
   return strfmt("%d:%d", line, col);
 }
 
+NestingLimit::Level::Level(NestingLimit &limit, SrcLoc loc)
+    : limit_(limit),
+      ok_(++limit.depth_ <= kMaxNestingDepth && !limit.exceeded_) {
+  if (ok_ || limit_.exceeded_)
+    return;
+  limit_.exceeded_ = true;
+  limit_.diags_.error(strfmt("%snesting deeper than %d levels",
+                             limit_.prefix_, kMaxNestingDepth),
+                      loc);
+}
+
 namespace {
 
 /// Appends `diag` as "[line:col: ]severity: message". Concatenated rather

@@ -55,4 +55,45 @@ private:
   size_t numErrors_ = 0;
 };
 
+/// The deepest the recursive-descent parsers (mir, lir and the C
+/// frontend) go. Far above what the printers and the C++ emitter write
+/// and above C's 63 parenthesis levels, and far below what a worker
+/// thread's stack holds, even with sanitizer frames.
+constexpr int kMaxNestingDepth = 256;
+
+/// One parse's recursion depth, checked against kMaxNestingDepth. Each
+/// level of descent holds a Level for its lifetime. Past the limit the
+/// first Level reports one located error ("<prefix>nesting deeper than
+/// 256 levels") and every Level after it fails, so the parse unwinds
+/// without descending further; exceeded() lets the parser drop the
+/// follow-on errors of that unwinding.
+class NestingLimit {
+public:
+  explicit NestingLimit(DiagnosticEngine &diags, const char *prefix = "")
+      : diags_(diags), prefix_(prefix) {}
+
+  class Level {
+  public:
+    Level(NestingLimit &limit, SrcLoc loc);
+    ~Level() { --limit_.depth_; }
+    Level(const Level &) = delete;
+    Level &operator=(const Level &) = delete;
+
+    /// False past the limit: the caller returns without descending.
+    bool ok() const { return ok_; }
+
+  private:
+    NestingLimit &limit_;
+    bool ok_;
+  };
+
+  bool exceeded() const { return exceeded_; }
+
+private:
+  DiagnosticEngine &diags_;
+  const char *prefix_;
+  int depth_ = 0;
+  bool exceeded_ = false;
+};
+
 } // namespace mha

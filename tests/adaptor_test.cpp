@@ -217,6 +217,39 @@ TEST(MetadataConvert, RenamesDirectives) {
   EXPECT_EQ(out.find("mha.partition="), std::string::npos);
 }
 
+// Regression: the numbers of a partition attribute and the width of a
+// shape's "iN" element went through std::stoul/std::stoll, so a malformed
+// module made `mha-opt --passes=adaptor` abort instead of diagnosing it.
+TEST(MetadataConvert, MalformedNumbersAreDiagnosedNotThrown) {
+  for (const char *attr : {"mha.partition=x:1:4:cyclic",
+                           "mha.partition=0:99999999999999999999:4:cyclic",
+                           "mha.partition=-1:1:4:cyclic"}) {
+    lir::LContext ctx;
+    DiagnosticEngine diags;
+    auto module = lir::parseModule(
+        std::string("define void @f(ptr %A) #[") + attr +
+            "] {\nentry:\n  ret void\n}\n",
+        ctx, diags);
+    ASSERT_NE(module, nullptr) << diags.str();
+    lir::PassManager pm(/*verifyEach=*/false);
+    pm.add(adaptor::createMetadataConvertPass());
+    EXPECT_FALSE(pm.run(*module, diags)) << attr;
+    EXPECT_NE(diags.str().find("partition attribute"), std::string::npos)
+        << diags.str();
+  }
+  for (const char *elem : {"ifoo", "i99999999999999999999", "i0"}) {
+    lir::LContext ctx;
+    DiagnosticEngine diags;
+    auto module = lir::parseModule(
+        std::string("define void @f(ptr !mha.shape !{!\"") + elem +
+            "\", i64 1, i64 4} %A) {\nentry:\n  ret void\n}\n",
+        ctx, diags);
+    ASSERT_NE(module, nullptr) << diags.str();
+    lir::Function *fn = module->getFunction("f");
+    EXPECT_FALSE(adaptor::shapeOf(fn->arg(0), ctx).has_value()) << elem;
+  }
+}
+
 TEST(AttributeScrub, RemovesModernAttrs) {
   ModernIR ir("gemm");
   lir::Function *fn = ir.module->getFunction("gemm");

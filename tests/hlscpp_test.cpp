@@ -136,6 +136,32 @@ void k(double a[8][8]) {
   EXPECT_NE(fn->arg(0)->getMetadata("xlx.array_partition"), nullptr);
 }
 
+// Regression: pragma values went through std::stoll, which threw out of
+// parseHlsCpp on a malformed or out-of-range number.
+TEST(HlsFrontend, MalformedPragmaValueIsALocatedError) {
+  const char *pragmas[][2] = {
+      {"#pragma HLS array_partition variable=a cyclic factor=x dim=1", ""},
+      {"#pragma HLS array_partition variable=a cyclic factor=2 "
+       "dim=99999999999999999999",
+       ""},
+      {"", "#pragma HLS pipeline II=abc"},
+      {"", "#pragma HLS unroll factor=4x"},
+  };
+  for (const auto &[fnPragma, loopPragma] : pragmas) {
+    lir::LContext ctx;
+    DiagnosticEngine diags;
+    std::string source = std::string("void k(double a[8]) {\n") + fnPragma +
+                         "\n  for (int i = 0; i < 8; i += 1) {\n    " +
+                         loopPragma + "\n    a[i] = 1.0;\n  }\n}\n";
+    EXPECT_EQ(hlscpp::parseHlsCpp(source, ctx, diags), nullptr) << source;
+    ASSERT_TRUE(diags.hadError()) << source;
+    const Diagnostic &error = diags.diagnostics().front();
+    EXPECT_NE(error.message.find("bad pragma value"), std::string::npos)
+        << diags.str();
+    EXPECT_EQ(error.loc.line, *fnPragma ? 2 : 4) << diags.str();
+  }
+}
+
 TEST(HlsFrontend, CanonicalLoopShapeAfterO2) {
   lir::LContext ctx;
   DiagnosticEngine diags;

@@ -1,11 +1,11 @@
-// Incremental recompilation (StageCache) and parallel pass execution.
+// Incremental recompilation (StageCache) and fused function passes.
 //
 // The stage cache must behave like a correct memo table: a second
 // identical compile answers every stage from cache with identical
 // results, and an edit invalidates exactly the edited stage and its
-// downstream — never upstream. Parallel function-pass execution must be
-// observationally identical to serial execution (same IR, same merged
-// stats), since results are merged in deterministic function order.
+// downstream — never upstream. Fusing function passes into one
+// traversal must be observationally identical to running them one by
+// one.
 #include "flow/BatchRunner.h"
 #include "flow/Flow.h"
 #include "flow/StageCache.h"
@@ -13,8 +13,6 @@
 #include "lir/Parser.h"
 #include "lir/Printer.h"
 #include "lir/transforms/Transforms.h"
-#include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -188,53 +186,6 @@ TEST(StageCache, ConcurrentBatchSharesOneCache) {
   auto counters = flow::StageCache::global().counters();
   EXPECT_GT(counters.hits() + counters.misses(), 0);
   EXPECT_GE(counters.misses(), 3); // at least one cold chain
-}
-
-TEST(ParallelPasses, MatchSerialExecutionExactly) {
-  // A module with several independent functions, run through the same
-  // cleanup pipeline serially and with a 4-worker pool: the printed IR
-  // and the merged statistics must be identical.
-  std::string text = "declare double @hls_sqrt(double)\n";
-  for (int i = 0; i < 6; ++i) {
-    char name = static_cast<char>('a' + i);
-    text += strfmt(R"(
-define i64 @fn_%c(i64 %%x) {
-entry:
-  %%0 = add i64 %%x, 0
-  %%1 = mul i64 %%0, 1
-  %%2 = add i64 %%1, %d
-  %%dead = add i64 %%2, 99
-  %%3 = add i64 %%2, %%2
-  ret i64 %%3
-}
-)",
-                   name, i);
-  }
-
-  auto runPipeline = [&](ThreadPool *pool, std::string &printed,
-                         lir::PassStats &stats) {
-    lir::LContext ctx;
-    DiagnosticEngine diags;
-    auto module = lir::parseModule(text, ctx, diags);
-    ASSERT_NE(module, nullptr) << diags.str();
-    lir::PassManager pm(/*verifyEach=*/true);
-    pm.add(lir::createInstCombinePass());
-    pm.add(lir::createCSEPass());
-    pm.add(lir::createDCEPass());
-    if (pool)
-      pm.setConcurrency(pool);
-    ASSERT_TRUE(pm.run(*module, diags)) << diags.str();
-    printed = lir::printModule(*module);
-    stats = pm.totalStats();
-  };
-
-  std::string serialIR, parallelIR;
-  lir::PassStats serialStats, parallelStats;
-  runPipeline(nullptr, serialIR, serialStats);
-  ThreadPool pool(4);
-  runPipeline(&pool, parallelIR, parallelStats);
-  EXPECT_EQ(serialIR, parallelIR);
-  EXPECT_EQ(serialStats, parallelStats);
 }
 
 TEST(ParallelPasses, FusedFunctionPassMatchesSequentialPasses) {

@@ -4,6 +4,7 @@
 #include "lir/Parser.h"
 #include "lir/Printer.h"
 #include "lir/Verifier.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -279,6 +280,89 @@ entry:
                             ctx, diags);
   EXPECT_EQ(module, nullptr);
   EXPECT_NE(diags.str().find("integer literal"), std::string::npos);
+}
+
+// Regression: an integer type's width went through std::stoul, which threw
+// std::out_of_range out of parseModule (mha-opt aborted); widths the
+// context cannot hold went through unchecked. A type error followed by a
+// literal also used to dereference the missing type.
+TEST(LirParseErrors, MalformedTypesAreLocatedErrors) {
+  const std::pair<const char *, const char *> cases[] = {
+      {"%a = alloca i99999999999999999999", "bad integer type"},
+      {"%a = alloca i0", "bad integer type 'i0'"},
+      {"%a = alloca i65", "bad integer type 'i65'"},
+      {"%a = add [4 x ] 1, 2", "expected type"},
+      {"%a = phi [4 x ] [1, %entry]", "expected type"},
+  };
+  for (const auto &[inst, message] : cases) {
+    LContext ctx;
+    DiagnosticEngine diags;
+    auto module = parseModule(std::string("define void @f() {\nentry:\n  ") +
+                                  inst + "\n  ret void\n}\n",
+                              ctx, diags);
+    EXPECT_EQ(module, nullptr) << inst;
+    ASSERT_TRUE(diags.hadError()) << inst;
+    const Diagnostic &first = diags.diagnostics().front();
+    EXPECT_NE(first.message.find(message), std::string::npos)
+        << inst << "\n" << diags.str();
+    EXPECT_EQ(first.loc.line, 3) << inst;
+  }
+}
+
+// Deeply nested types and metadata used to recurse until the stack
+// overflowed: `mha-opt --verify` segfaulted on a 100,000-deep
+// [1 x [1 x ... i32]] alloca. Past kMaxNestingDepth the parse stops with
+// one located error, also on a pool thread's smaller stack.
+TEST(LirParseErrors, DeepNestingIsATypedErrorOnAPoolThread) {
+  auto repeat = [](const char *piece, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i)
+      out += piece;
+    return out;
+  };
+  auto arrays = [&](int depth) {
+    return "define void @f() {\nentry:\n  %a = alloca " +
+           repeat("[1 x ", depth) + "i32" + repeat("]", depth) +
+           "\n  ret void\n}\n";
+  };
+  auto structs = [&](int depth) {
+    return "define void @f() {\nentry:\n  %a = alloca " +
+           repeat("{ ", depth) + "i32" + repeat(" }", depth) +
+           "\n  ret void\n}\n";
+  };
+  auto metadata = [&](int depth) {
+    return "define void @f() {\nentry:\n  %a = alloca i32, !md " +
+           repeat("!{", depth) + "i64 1" + repeat("}", depth) +
+           "\n  ret void\n}\n";
+  };
+  ThreadPool pool(1);
+  auto parseOnPool = [&](const std::string &text, DiagnosticEngine &diags) {
+    bool parsed = false;
+    pool.submit([&] {
+      LContext ctx;
+      parsed = parseModule(text, ctx, diags) != nullptr;
+    });
+    pool.wait();
+    return parsed;
+  };
+
+  for (const std::string &text : {arrays(100), structs(100), metadata(100)}) {
+    DiagnosticEngine diags;
+    EXPECT_TRUE(parseOnPool(text, diags)) << diags.str();
+  }
+  constexpr int kDepth = 100000;
+  for (const std::string &text :
+       {arrays(kDepth), structs(kDepth), metadata(kDepth)}) {
+    DiagnosticEngine diags;
+    EXPECT_FALSE(parseOnPool(text, diags)) << text.substr(0, 60);
+    ASSERT_EQ(diags.errorCount(), 1u) << diags.str();
+    const Diagnostic &error = diags.diagnostics().front();
+    EXPECT_NE(error.message.find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << error.message;
+    EXPECT_EQ(error.loc.line, 3);
+    EXPECT_GT(error.loc.col, 256);
+  }
 }
 
 // Regression: the parser read function attributes one identifier at a time,

@@ -6,6 +6,7 @@
 #include "mir/Printer.h"
 #include "mir/Verifier.h"
 #include "mir/transforms/MirTransforms.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -349,4 +350,115 @@ TEST(MirParseErrors, HugeFloatLiteralRejected) {
                             ctx, diags);
   EXPECT_FALSE(module.has_value());
   EXPECT_NE(diags.str().find("float literal"), std::string::npos);
+}
+
+// Regression: affine positions, integer widths and memref dimensions went
+// through std::stoul/std::stoll, which threw std::invalid_argument or
+// std::out_of_range out of parseModule on malformed text; a missing
+// operand after '+' dereferenced a null expression.
+TEST(MirParseErrors, MalformedNumbersAreLocatedErrors) {
+  auto module = [](const std::string &argType, const std::string &map) {
+    return "builtin.module {\n  func.func @k(%arg0: " + argType +
+           ") {\n    %0 = \"arith.constant\"() {value = 1} : () -> "
+           "(index)\n    %1 = \"affine.apply\"(%0) {map = " +
+           map +
+           "} : (index) -> (index)\n    \"func.return\"() : () -> ()\n  "
+           "}\n}";
+  };
+  const std::string okType = "memref<4xf64>";
+  const std::string okMap = "affine_map<(d0) -> (d0)>";
+  struct Case {
+    std::string text;
+    const char *message;
+    int line;
+  };
+  const Case cases[] = {
+      {module(okType, "affine_map<(d0) -> (dx)>"),
+       "bad affine dimension 'dx'", 4},
+      {module(okType, "affine_map<(d0) -> (d99999999999999999999)>"),
+       "bad affine dimension", 4},
+      {module(okType, "affine_map<(d0) -> (d1)>"),
+       "bad affine dimension 'd1' (map has 1 dimensions)", 4},
+      {module(okType, "affine_map<(d0)[s0] -> (d0 + s1)>"),
+       "bad affine symbol 's1'", 4},
+      {module(okType, "affine_map<(d0) -> (d0 + )>"), "bad affine expression",
+       4},
+      {module("i99999999999999999999", okMap), "bad integer type", 2},
+      {module("memref<4x99999999999999999999xf64>", okMap),
+       "memref dimension '99999999999999999999' out of range", 2},
+      {module("memref<4xi99999999999999999999>", okMap), "bad integer type",
+       2},
+      {module("memref<4xifoo>", okMap), "bad integer type 'ifoo'", 2},
+  };
+  for (const Case &c : cases) {
+    MContext ctx;
+    DiagnosticEngine diags;
+    EXPECT_FALSE(parseModule(c.text, ctx, diags).has_value()) << c.text;
+    ASSERT_TRUE(diags.hadError()) << c.text;
+    const Diagnostic &first = diags.diagnostics().front();
+    EXPECT_NE(first.message.find(c.message), std::string::npos)
+        << c.message << "\n" << diags.str();
+    EXPECT_EQ(first.loc.line, c.line) << diags.str();
+  }
+}
+
+// Deep nesting used to recurse until the stack overflowed: on a pool
+// thread (the stack serve compiles on) a 100,000-deep parenthesized
+// affine expression segfaulted parseModule. Past kMaxNestingDepth the
+// parse stops with one located error.
+TEST(MirParseErrors, DeepNestingIsATypedErrorOnAPoolThread) {
+  auto repeat = [](const char *piece, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i)
+      out += piece;
+    return out;
+  };
+  auto module = [](const std::string &attr, const std::string &body) {
+    return "builtin.module {\n  func.func @k() {\n    %0 = "
+           "\"arith.constant\"() {value = " +
+           attr + "} : () -> (index)\n" + body +
+           "    \"func.return\"() : () -> ()\n  }\n}";
+  };
+  auto parens = [&](int depth) {
+    return module("1", "    %1 = \"affine.apply\"(%0) {map = "
+                       "affine_map<(d0) -> (" +
+                           repeat("(", depth) + "d0" + repeat(")", depth) +
+                           ")>} : (index) -> (index)\n");
+  };
+  auto arrays = [&](int depth) {
+    return module(repeat("[", depth) + "1" + repeat("]", depth), "");
+  };
+  auto regions = [&](int depth) {
+    return module("1", "    " + repeat("\"t.r\"() ({ ", depth) +
+                           "\"t.y\"() : () -> ()" +
+                           repeat(" }) : () -> ()", depth) + "\n");
+  };
+  ThreadPool pool(1);
+  auto parseOnPool = [&](const std::string &text, DiagnosticEngine &diags) {
+    bool parsed = false;
+    pool.submit([&] {
+      MContext ctx;
+      parsed = parseModule(text, ctx, diags).has_value();
+    });
+    pool.wait();
+    return parsed;
+  };
+
+  for (const std::string &text : {parens(100), arrays(100), regions(100)}) {
+    DiagnosticEngine diags;
+    EXPECT_TRUE(parseOnPool(text, diags)) << diags.str();
+  }
+  constexpr int kDepth = 100000;
+  for (const std::string &text :
+       {parens(kDepth), arrays(kDepth), regions(kDepth)}) {
+    DiagnosticEngine diags;
+    EXPECT_FALSE(parseOnPool(text, diags)) << text.substr(0, 120);
+    ASSERT_EQ(diags.errorCount(), 1u) << diags.str();
+    const Diagnostic &error = diags.diagnostics().front();
+    EXPECT_NE(error.message.find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << error.message;
+    EXPECT_GT(error.loc.line, 0);
+    EXPECT_GT(error.loc.col, 256);
+  }
 }

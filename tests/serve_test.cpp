@@ -595,6 +595,48 @@ TEST(ServeServer, EstimateFieldGetsTypedBadRequest) {
   server.stop();
 }
 
+// An inline module whose affine map names dimension 'dx' used to throw
+// out of the session: the request never got `done`, its admission slot
+// leaked, and with one slot every later request was `busy`. Now it is a
+// typed bad_request, and the next request is admitted.
+TEST(ServeServer, MalformedInlineMlirAnswersAndFreesItsSlot) {
+  std::string socket = testSocketPath();
+  Server server(testOptions(socket, /*maxInflight=*/1, /*maxQueue=*/0));
+  ASSERT_TRUE(server.start());
+  Client client;
+  ASSERT_TRUE(client.connect(socket));
+
+  Request bad;
+  bad.id = "dx";
+  bad.mlir = "builtin.module {\n  func.func @k() {\n    %0 = "
+             "\"arith.constant\"() {value = 1} : () -> (index)\n    %1 = "
+             "\"affine.apply\"(%0) {map = affine_map<(d0) -> (dx)>} : "
+             "(index) -> (index)\n    \"func.return\"() : () -> ()\n  }\n}";
+  ASSERT_TRUE(client.sendLine(renderCompileRequest(bad.id, bad)));
+  std::vector<std::string> events;
+  std::string line;
+  while (client.readLine(line)) {
+    std::optional<json::Value> doc = json::parse(line);
+    ASSERT_TRUE(doc.has_value()) << line;
+    std::string event = doc->get("event")->asString();
+    events.push_back(event);
+    if (event == "error") {
+      EXPECT_EQ(doc->get("code")->asString(), errc::BadRequest) << line;
+      EXPECT_NE(line.find("bad affine dimension 'dx'"), std::string::npos)
+          << line;
+    }
+    if (event == "done")
+      break;
+  }
+  EXPECT_EQ(events, (std::vector<std::string>{"accepted", "error", "done"}));
+
+  Client::CompileOutcome next = client.runCompile(compileRequest("next", "fir"));
+  ASSERT_TRUE(next.transportOk) << next.error;
+  EXPECT_TRUE(next.ok) << next.code << ": " << next.error;
+  server.stop();
+  EXPECT_EQ(server.stats().rejectedBusy, 0);
+}
+
 TEST(ServeServer, ShutdownRequestDrainsAndStops) {
   std::string socket = testSocketPath();
   Server server(testOptions(socket));

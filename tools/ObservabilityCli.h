@@ -14,12 +14,13 @@
 //   --event-log-level=<level>  debug|info|warn|error (default info)
 //
 // parseFlag() recognizes and strictly validates the flags (malformed
-// values are reported on stderr and refused, matching the tools'
-// parseNumericFlag convention); Session drives the lifecycle: begin()
-// before the work (enables metric recording, opens the log, starts the
-// exporter), finish() after it (final snapshot writes; failures make the
-// tool exit non-zero). With none of the flags given, both are no-ops and
-// the tool's output is byte-identical to a build without this layer.
+// values are reported on stderr and refused, through the same
+// parseNumericFlag every tool uses for its numeric flags); Session drives
+// the lifecycle: begin() before the work (enables metric recording, opens
+// the log, starts the exporter), finish() after it (final snapshot
+// writes; failures make the tool exit non-zero). With none of the flags
+// given, both are no-ops and the tool's output is byte-identical to a
+// build without this layer.
 #pragma once
 
 #include "support/EventLog.h"
@@ -44,6 +45,26 @@ struct Options {
   }
 };
 
+/// Strictly parses the value of `--flag=value` into [min, max]. Unlike
+/// atoi, rejects non-numeric input and out-of-range values (with a
+/// diagnostic on stderr) instead of silently producing 0.
+inline bool parseNumericFlag(const std::string &arg, size_t prefixLen,
+                             const char *flag, int64_t min, int64_t max,
+                             int64_t &out) {
+  std::string value = arg.substr(prefixLen);
+  std::optional<int64_t> parsed = parseInt(value);
+  if (!parsed || *parsed < min || *parsed > max) {
+    std::fprintf(stderr,
+                 "invalid value '%s' for %s (expected integer in "
+                 "[%lld, %lld])\n",
+                 value.c_str(), flag, static_cast<long long>(min),
+                 static_cast<long long>(max));
+    return false;
+  }
+  out = *parsed;
+  return true;
+}
+
 /// Returns true when `arg` is one of the observability flags (consumed
 /// into `opts`). A recognized flag with a malformed value prints a
 /// diagnostic and sets `ok = false` — the caller returns its usage error.
@@ -66,17 +87,8 @@ inline bool parseFlag(const std::string &arg, Options &opts, bool &ok) {
     return true;
   }
   if (startsWith(arg, "--metrics-interval=")) {
-    std::string value = arg.substr(19);
-    std::optional<int64_t> parsed = parseInt(value);
-    if (!parsed || *parsed < 1 || *parsed > 86400000) {
-      std::fprintf(stderr,
-                   "invalid value '%s' for --metrics-interval (expected "
-                   "integer in [1, 86400000])\n",
-                   value.c_str());
-      ok = false;
-      return true;
-    }
-    opts.intervalMs = *parsed;
+    ok = parseNumericFlag(arg, 19, "--metrics-interval", 1, 86400000,
+                          opts.intervalMs);
     return true;
   }
   if (startsWith(arg, "--event-log=")) {

@@ -13,6 +13,8 @@
 // status: 0 when the request finished ok (or the admin ack arrived),
 // 1 on a typed server-side error, 2 on usage or transport failure.
 // --quiet prints only the result/error event instead of the full stream.
+#include "ObservabilityCli.h"
+
 #include "serve/Client.h"
 
 #include "support/Json.h"
@@ -24,6 +26,7 @@
 #include <sstream>
 
 using namespace mha;
+using obscli::parseNumericFlag;
 
 namespace {
 
@@ -38,26 +41,6 @@ int usage() {
       "                  [--id=<id>] [--quiet]\n"
       "       mha-client --socket=<path> --ping | --shutdown\n");
   return 2;
-}
-
-/// Strictly parses the value of `--flag=value` into [min, max]. Unlike
-/// atoi, rejects non-numeric input and out-of-range values instead of
-/// silently producing 0.
-bool parseNumericFlag(const std::string &arg, size_t prefixLen,
-                      const char *flag, int64_t min, int64_t max,
-                      int64_t &out) {
-  std::string value = arg.substr(prefixLen);
-  std::optional<int64_t> parsed = parseInt(value);
-  if (!parsed || *parsed < min || *parsed > max) {
-    std::fprintf(stderr,
-                 "invalid value '%s' for %s (expected integer in "
-                 "[%lld, %lld])\n",
-                 value.c_str(), flag, static_cast<long long>(min),
-                 static_cast<long long>(max));
-    return false;
-  }
-  out = *parsed;
-  return true;
 }
 
 } // namespace

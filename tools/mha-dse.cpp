@@ -30,6 +30,7 @@
 #include <fstream>
 
 using namespace mha;
+using obscli::parseNumericFlag;
 
 namespace {
 
@@ -44,23 +45,6 @@ int usage() {
       "               [--metrics-prom=m.prom] [--event-log=e.jsonl]\n"
       "               [--event-log-level=debug|info|warn|error]\n");
   return 2;
-}
-
-bool parseNumericFlag(const std::string &arg, size_t prefixLen,
-                      const char *flag, int64_t min, int64_t max,
-                      int64_t &out) {
-  std::string value = arg.substr(prefixLen);
-  std::optional<int64_t> parsed = parseInt(value);
-  if (!parsed || *parsed < min || *parsed > max) {
-    std::fprintf(stderr,
-                 "invalid value '%s' for %s (expected integer in "
-                 "[%lld, %lld])\n",
-                 value.c_str(), flag, static_cast<long long>(min),
-                 static_cast<long long>(max));
-    return false;
-  }
-  out = *parsed;
-  return true;
 }
 
 /// Parses "--flag=1,2,4" into a list of integers in [min, max].

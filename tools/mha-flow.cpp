@@ -4,10 +4,9 @@
 //            [--batch] [--threads=N] [--trace=out.json]
 //            [--chrome-trace=out.json] [--time-passes] [--stats]
 //            [--ii=N] [--unroll=N] [--partition=N] [--dataflow]
-//            [--no-directives] [--cosim] [--pass-jobs=N] [--stage-cache]
-//            [--no-times]
-//   mha-flow --lir=module.lir [--top=fn] [--pass-jobs=N] [--stage-cache]
-//            [--no-times] [--stats] [--time-passes]
+//            [--no-directives] [--cosim] [--stage-cache] [--no-times]
+//   mha-flow --lir=module.lir [--top=fn] [--stage-cache] [--no-times]
+//            [--stats] [--time-passes]
 //
 // Runs every (kernel, flow) pair and prints one row per job with
 // accept/reject status, latency and resources. Results are always in
@@ -18,11 +17,12 @@
 // worker, nested batch-job -> flow-stage -> pass spans) loadable in
 // chrome://tracing or Perfetto; --time-passes prints the aggregated
 // per-pass timing table and --stats the statistic-counter registry, both
-// on stderr. --pass-jobs runs lir function passes function-at-a-time on N
-// workers; --stage-cache enables incremental recompilation (stage-hash
-// cache, shared across jobs in this process) and prints a one-line cache
-// summary on stderr at exit; --no-times suppresses every timing in the
-// output so two runs diff byte-identically (the CI determinism check).
+// on stderr. Each job's passes run on the job's own thread; --batch
+// parallelizes across jobs, never within one. --stage-cache enables
+// incremental recompilation (stage-hash cache, shared across jobs in this
+// process) and prints a one-line cache summary on stderr at exit;
+// --no-times suppresses every timing in the output so two runs diff
+// byte-identically (the CI determinism check).
 // The shared observability flags (--metrics-out, --metrics-interval,
 // --metrics-prom, --event-log, --event-log-level) are documented in
 // ObservabilityCli.h. Exit status is 0 iff every job succeeded (and
@@ -48,6 +48,7 @@
 #include <sstream>
 
 using namespace mha;
+using obscli::parseNumericFlag;
 
 namespace {
 
@@ -58,34 +59,14 @@ int usage() {
       "                [--batch] [--threads=N] [--trace=out.json]\n"
       "                [--chrome-trace=out.json] [--time-passes] [--stats]\n"
       "                [--ii=N] [--unroll=N] [--partition=N] [--dataflow]\n"
-      "                [--no-directives] [--cosim] [--pass-jobs=N]\n"
-      "                [--stage-cache] [--no-times]\n"
-      "       mha-flow --lir=module.lir [--top=fn] [--pass-jobs=N]\n"
-      "                [--stage-cache] [--no-times] [--stats]\n"
+      "                [--no-directives] [--cosim] [--stage-cache]\n"
+      "                [--no-times]\n"
+      "       mha-flow --lir=module.lir [--top=fn] [--stage-cache]\n"
+      "                [--no-times] [--stats]\n"
       "                [--metrics-out=m.json] [--metrics-interval=MS]\n"
       "                [--metrics-prom=m.prom] [--event-log=e.jsonl]\n"
       "                [--event-log-level=debug|info|warn|error]\n");
   return 2;
-}
-
-/// Strictly parses the value of `--flag=value` into [min, max]. Unlike
-/// atoi, rejects non-numeric input and out-of-range values instead of
-/// silently producing 0.
-bool parseNumericFlag(const std::string &arg, size_t prefixLen,
-                      const char *flag, int64_t min, int64_t max,
-                      int64_t &out) {
-  std::string value = arg.substr(prefixLen);
-  std::optional<int64_t> parsed = parseInt(value);
-  if (!parsed || *parsed < min || *parsed > max) {
-    std::fprintf(stderr,
-                 "invalid value '%s' for %s (expected integer in "
-                 "[%lld, %lld])\n",
-                 value.c_str(), flag, static_cast<long long>(min),
-                 static_cast<long long>(max));
-    return false;
-  }
-  out = *parsed;
-  return true;
 }
 
 } // namespace
@@ -98,7 +79,7 @@ int main(int argc, char **argv) {
   bool batch = false, cosim = false, timePasses = false, statsFlag = false;
   bool stageCache = false, noTimes = false;
   std::string lirPath, topName;
-  int64_t threads = 0, passJobs = 1;
+  int64_t threads = 0;
   flow::KernelConfig config;
   config.pipelineII = 1;
   config.partitionFactor = 2;
@@ -144,10 +125,7 @@ int main(int argc, char **argv) {
       config.applyDirectives = false;
     else if (arg == "--cosim")
       cosim = true;
-    else if (startsWith(arg, "--pass-jobs=")) {
-      if (!parseNumericFlag(arg, 12, "--pass-jobs", 1, 4096, passJobs))
-        return usage();
-    } else if (startsWith(arg, "--lir="))
+    else if (startsWith(arg, "--lir="))
       lirPath = arg.substr(6);
     else if (startsWith(arg, "--top="))
       topName = arg.substr(6);
@@ -186,7 +164,6 @@ int main(int argc, char **argv) {
 
     flow::FlowOptions flowOptions;
     flowOptions.useStageCache = stageCache;
-    flowOptions.passJobs = static_cast<int>(passJobs);
     flow::FlowResult result =
         flow::runLirAdaptorFlow(buffer.str(), topName, flowOptions);
     if (!result.ok) {
@@ -255,7 +232,6 @@ int main(int argc, char **argv) {
 
   flow::FlowOptions flowOptions;
   flowOptions.useStageCache = stageCache;
-  flowOptions.passJobs = static_cast<int>(passJobs);
 
   std::vector<flow::BatchJob> jobs;
   for (const flow::KernelSpec *spec : kernels)
